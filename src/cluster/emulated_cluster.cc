@@ -3,321 +3,44 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/logging.h"
-
 namespace roar::cluster {
 
 namespace {
 
-// Analytic saturation throughput of a config: per query, every node
-// contributes dataset/agg_rate busy seconds of scanning (balanced shares)
-// plus its slice of the p sub-query overheads.
-double rated_capacity(const ClusterConfig& c) {
-  double agg_rate = 0.0;
-  uint32_t n_nodes = 0;
-  for (const auto& cls : c.classes) {
-    agg_rate += cls.count * cls.speed * c.node_proto.base_rate;
-    n_nodes += cls.count;
-  }
-  if (agg_rate <= 0 || n_nodes == 0) return 0.0;
-  double scan_s = static_cast<double>(c.dataset_size) / agg_rate;
-  double overhead_s =
-      c.node_proto.subquery_overhead_s * c.p / std::max(1u, n_nodes);
-  return 1.0 / (scan_s + overhead_s);
+ClusterAssembly::Wiring emulated_wiring(const ClusterConfig& c) {
+  ClusterAssembly::Wiring w;
+  w.control.adaptive = c.adaptive_p;
+  w.control.adaptive_params = c.adaptive;
+  w.control.adaptive_interval_s = c.adaptive_interval_s;
+  w.modeled_timing = true;  // keep virtual time host-free
+  return w;
 }
 
 }  // namespace
 
-EmulatedCluster::EmulatedCluster(ClusterConfig config)
-    : config_(std::move(config)),
-      net_(loop_, config_.latency_s,
-           subseed(config_.seed, SeedStream::kNetwork)),
-      membership_(core::MembershipConfig{},
-                  subseed(config_.seed, SeedStream::kMembership)),
-      rng_(subseed(config_.seed, SeedStream::kWorkload)) {
-  config_.frontend.p = config_.p;
-  config_.frontend.subquery_overhead_s = config_.node_proto.subquery_overhead_s;
-  if (config_.frontends == 0) config_.frontends = 1;
-  if (config_.adaptive_p) {
-    if (config_.node_proto.stats_interval_s <= 0) {
-      config_.node_proto.stats_interval_s = 1.0;
-    }
-    if (config_.frontend.digest_interval_s <= 0) {
-      config_.frontend.digest_interval_s = 1.0;
-    }
-  }
-  if (config_.slo.enabled) {
-    // One contract spec feeds everything: the admission controller every
-    // frontend runs, the Spang bounds every node enforces, and (with
-    // adaptive_p) the latency target the p controller holds.
-    uint32_t n_nodes = 0;
-    for (const auto& cls : config_.classes) n_nodes += cls.count;
-    double cap_qps = rated_capacity(config_);
-    double per_node_subq =
-        cap_qps * config_.p / std::max(1u, n_nodes);
-    core::ResolvedSlo r = core::resolve_slo(config_.slo, cap_qps,
-                                            per_node_subq,
-                                            config_.frontends);
-    config_.frontend.slo_enabled = true;
-    config_.frontend.admission = r.admission;
-    if (config_.node_proto.max_backlog_s <= 0) {
-      config_.node_proto.max_backlog_s = r.node_max_backlog_s;
-    }
-    if (config_.node_proto.exec_queue_cap == 0) {
-      config_.node_proto.exec_queue_cap = r.node_exec_queue_cap;
-    }
-    if (config_.adaptive_p) {
-      config_.adaptive.target_p99_s = r.target_p99_s;
-    }
-  }
-
-  if (config_.enable_faults) {
+EmulatedSubstrate::EmulatedSubstrate(const ClusterConfig& config)
+    : net_(loop_, config.latency_s,
+           subseed(config.seed, SeedStream::kNetwork)),
+      latency_s_(config.latency_s) {
+  if (config.enable_faults) {
     faults_ = std::make_unique<net::FaultTransport>(
-        net_, subseed(config_.seed, SeedStream::kFaults));
-    faults_->set_default_faults(config_.default_faults);
+        net_, subseed(config.seed, SeedStream::kFaults));
+    faults_->set_default_faults(config.default_faults);
   }
+}
 
-  ControlPlaneParams cp;
-  cp.initial_p = config_.p;
-  cp.retransmit_interval_s = config_.control_retransmit_s;
-  cp.relay_fanout = config_.relay_fanout;
-  cp.tree_divisor = config_.tree_divisor;
-  cp.adaptive = config_.adaptive_p;
-  cp.adaptive_params = config_.adaptive;
-  cp.adaptive_interval_s = config_.adaptive_interval_s;
-  control_ = std::make_unique<ControlPlane>(transport(), membership_, cp);
-  control_->on_reconfigured = [this](uint32_t new_p) {
-    ROAR_LOG(kInfo) << "cluster: reconfiguration to p=" << new_p
-                    << " complete at t=" << loop_.now();
-  };
-  control_->start();
+void EmulatedSubstrate::deliver_first_view(const std::function<bool()>&) {
+  // Ten one-way latencies deliver the first epoch and its acks; virtual
+  // time makes that a fixed horizon, not a polling condition.
+  loop_.run_until(loop_.now() + 10 * latency_s_);
+}
 
-  for (uint32_t i = 0; i < config_.frontends; ++i) {
-    frontends_.push_back(std::make_unique<Frontend>(
-        transport(), i, config_.frontend, config_.dataset_size,
-        frontend_seed(config_.seed, i)));
-    control_->subscribe_frontend(frontends_.back()->address());
-    frontends_.back()->set_tracer(&tracer_, 0);
-    frontends_.back()->set_latency_histogram(
-        &metrics_.histogram("frontend.latency_s"));
-    frontends_.back()->start();
-  }
-
-  if (config_.enable_ingest) {
-    engine_ = std::make_shared<const MatchEngine>(config_.engine);
-    ingest_router_ = std::make_unique<IngestRouter>(
-        transport(), config_.ingest, subseed(config_.seed, SeedStream::kIngest),
-        engine_, [this] { return membership_.ring(0); },
-        [this] { return control_->storage_p(); });
-    ingest_router_->set_tracer(&tracer_, 0);
-    ingest_router_->start();
-    for (auto& fe : frontends_) fe->set_ingest(ingest_router_.get());
-  }
-
-  register_gauges();
-  tracer_.set_dump_renderer([this](uint64_t id, const std::string& reason) {
-    return core::render_flight_dump(tracer_.collect(), id, reason,
-                                    metrics_.to_text());
-  });
-
-  // Create and join all nodes.
-  NodeId id = 0;
-  for (const auto& cls : config_.classes) {
-    for (uint32_t i = 0; i < cls.count; ++i) {
-      make_node(id, cls.speed);
-      membership_.join(id, cls.speed);
-      ++id;
-    }
-  }
-  // Converge ranges to ∝ speed before measurements.
-  for (uint32_t i = 0; i < config_.initial_balance_steps; ++i) {
-    if (membership_.balance_step() == 0.0) break;
-  }
-  publish_view();
-  // Deliver the first view epoch (and its acks) so every component is
-  // ranged and ready before the constructor returns — the synchronous
-  // guarantee the direct-call control glue used to give for free.
-  loop_.run_until(loop_.now() + 10 * config_.latency_s);
+EmulatedCluster::EmulatedCluster(ClusterConfig config)
+    : EmulatedSubstrate(config),
+      ClusterAssembly(*this, config, /*shards=*/1),
+      rng_(subseed(config.seed, SeedStream::kWorkload)) {
+  assemble(config.classes, emulated_wiring(config));
   measure_start_ = loop_.now();
-}
-
-// One registry absorbs every component's scattered counters as lazy
-// gauges: nothing is sampled until snapshot(), so registration costs
-// nothing on the hot path and newly added nodes are picked up for free
-// (the callbacks iterate the live component lists).
-void EmulatedCluster::register_gauges() {
-  metrics_.gauge_fn("frontend.completed", [this] {
-    uint64_t n = 0;
-    for (const auto& fe : frontends_) n += fe->queries_completed();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("frontend.failures_detected", [this] {
-    uint64_t n = 0;
-    for (const auto& fe : frontends_) n += fe->failures_detected();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("frontend.shed", [this] {
-    return static_cast<double>(admission_shed_total());
-  });
-  metrics_.gauge_fn("frontend.parts_shed", [this] {
-    uint64_t n = 0;
-    for (const auto& fe : frontends_) n += fe->parts_shed();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("frontend.queue_hwm", [this] {
-    size_t m = 0;
-    for (const auto& fe : frontends_) m = std::max(m, fe->queue_hwm());
-    return static_cast<double>(m);
-  });
-  metrics_.gauge_fn("node.subqueries", [this] {
-    uint64_t n = 0;
-    for (const auto& nd : nodes_) n += nd->subqueries_served();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("node.updates_applied", [this] {
-    uint64_t n = 0;
-    for (const auto& nd : nodes_) n += nd->updates_applied();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("node.shed", [this] {
-    return static_cast<double>(node_shed_total());
-  });
-  metrics_.gauge_fn("node.exec_queue_hwm", [this] {
-    size_t m = 0;
-    for (const auto& nd : nodes_) m = std::max(m, nd->exec_queue_hwm());
-    return static_cast<double>(m);
-  });
-  metrics_.gauge_fn("node.backlog_hwm_s", [this] {
-    double m = 0;
-    for (const auto& nd : nodes_) m = std::max(m, nd->backlog_hwm_s());
-    return m;
-  });
-  metrics_.gauge_fn("net.messages_sent", [this] {
-    return static_cast<double>(transport().messages_sent());
-  });
-  metrics_.gauge_fn("net.messages_dropped", [this] {
-    return static_cast<double>(transport().messages_dropped());
-  });
-  metrics_.gauge_fn("net.bytes_sent", [this] {
-    return static_cast<double>(transport().bytes_sent());
-  });
-  metrics_.gauge_fn("control.epoch", [this] {
-    return static_cast<double>(control_->epoch());
-  });
-  metrics_.gauge_fn("control.epoch_lag", [this] {
-    return static_cast<double>(control_->max_epoch_lag());
-  });
-  metrics_.gauge_fn("control.p_changes_committed", [this] {
-    return static_cast<double>(control_->p_changes_committed());
-  });
-  metrics_.gauge_fn("control.deltas_sent", [this] {
-    return static_cast<double>(control_->deltas_sent());
-  });
-  metrics_.gauge_fn("control.interest_filtered_sends", [this] {
-    return static_cast<double>(control_->interest_skips());
-  });
-  metrics_.gauge_fn("control.acks_aggregated", [this] {
-    return static_cast<double>(control_->acks_aggregated());
-  });
-  metrics_.gauge_fn("control.compaction_ratio", [this] {
-    return control_->compaction_ratio();
-  });
-  metrics_.gauge_fn("control.delta_log_retain", [this] {
-    return static_cast<double>(control_->delta_log_retain());
-  });
-  metrics_.gauge_fn("control.tree_rebuilds", [this] {
-    return static_cast<double>(control_->tree_rebuilds());
-  });
-  metrics_.gauge_fn("control.deltas_relayed", [this] {
-    uint64_t n = 0;
-    for (const auto& nd : nodes_) n += nd->deltas_relayed();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("control.node_acks_aggregated", [this] {
-    uint64_t n = 0;
-    for (const auto& nd : nodes_) n += nd->acks_aggregated();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("control.interests_registered", [this] {
-    uint64_t n = 0;
-    for (const auto& nd : nodes_) n += nd->interests_sent();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("trace.events", [this] {
-    return static_cast<double>(tracer_.events_recorded());
-  });
-  metrics_.gauge_fn("trace.anomalies", [this] {
-    return static_cast<double>(tracer_.anomalies_seen());
-  });
-  if (ingest_router_) {
-    IngestRouter* r = ingest_router_.get();
-    metrics_.gauge_fn("ingest.ops_accepted", [r] {
-      return static_cast<double>(r->ops_accepted());
-    });
-    metrics_.gauge_fn("ingest.updates_sent", [r] {
-      return static_cast<double>(r->updates_sent());
-    });
-    metrics_.gauge_fn("ingest.retransmits", [r] {
-      return static_cast<double>(r->retransmits());
-    });
-    metrics_.gauge_fn("ingest.loss_events", [r] {
-      return static_cast<double>(r->loss_events());
-    });
-    metrics_.gauge_fn("ingest.flow_abandoned", [r] {
-      return static_cast<double>(r->flow_abandoned());
-    });
-    metrics_.gauge_fn("ingest.syncs_served", [r] {
-      return static_cast<double>(r->syncs_served());
-    });
-    metrics_.gauge_fn("ingest.sync_chunks_sent", [r] {
-      return static_cast<double>(r->sync_chunks_sent());
-    });
-    metrics_.gauge_fn("ingest.full_segments_sent", [r] {
-      return static_cast<double>(r->full_segments_sent());
-    });
-    metrics_.gauge_fn("ingest.ops_applied", [this] {
-      uint64_t n = 0;
-      for (const auto& nd : nodes_) {
-        if (nd->ingest()) n += nd->ingest()->ops_applied();
-      }
-      return static_cast<double>(n);
-    });
-  }
-}
-
-void EmulatedCluster::make_node(NodeId id, double speed) {
-  NodeParams np = config_.node_proto;
-  np.id = id;
-  np.speed = speed;
-  auto node =
-      std::make_unique<NodeRuntime>(transport(), np, config_.dataset_size);
-  node->set_tracer(&tracer_, 0);
-  node->set_service_histogram(&metrics_.histogram("node.service_s"));
-  if (config_.enable_ingest) {
-    node->set_match_engine(engine_);
-    node->set_modeled_timing(true);  // keep virtual time host-free
-    node->enable_ingest(config_.ingest, engine_);
-  }
-  control_->subscribe_node(id);
-  node->start();
-  nodes_.push_back(std::move(node));
-}
-
-std::vector<NodeId> EmulatedCluster::node_ids() const {
-  std::vector<NodeId> out;
-  for (const auto& n : nodes_) {
-    if (n->alive()) out.push_back(n->id());
-  }
-  return out;
-}
-
-void EmulatedCluster::publish_view() {
-  // The broadcast inside publish() reaches everyone; genuinely lagging
-  // subscribers are covered by the control plane's retransmit tick (and
-  // the heal/revive paths' explicit resync), so no immediate resync —
-  // right after an epoch bump nobody can have acked yet and a resync
-  // here would just duplicate every delta as a full snapshot.
-  control_->publish();
 }
 
 NodeId EmulatedCluster::add_node(double speed) {
@@ -326,71 +49,6 @@ NodeId EmulatedCluster::add_node(double speed) {
   membership_.join(id, speed);
   schedule_warmup_push(id);
   return id;
-}
-
-// The node serves only after downloading its stored arc (§4.3); the
-// control plane marks it warming (published as down) until the load is
-// done, then publishes it into service.
-void EmulatedCluster::schedule_warmup_push(NodeId id) {
-  const core::Ring& ring = membership_.ring(0);
-  // Size the download by the SMALLEST p (largest stored arcs) the node
-  // may have to serve: the gated storage level it stores at on arrival,
-  // or the target of an in-progress decrease whose bigger arcs it will
-  // own the moment the change commits.
-  uint32_t p_load = std::min(control_->storage_p(), control_->target_p());
-  Arc stored = core::stored_object_arc(ring, id, p_load);
-  double bytes = stored.fraction() *
-                 static_cast<double>(config_.dataset_size) *
-                 config_.node_proto.bytes_per_object;
-  double warmup = bytes / config_.node_proto.fetch_bandwidth;
-  control_->set_warming(id, true);
-  publish_view();
-  loop_.schedule_after(warmup, [this, id] {
-    control_->set_warming(id, false);
-    publish_view();
-  });
-  ROAR_LOG(kInfo) << "cluster: node " << id << " joining, warmup "
-                  << warmup << "s";
-}
-
-void EmulatedCluster::kill_node(NodeId id) {
-  nodes_.at(id)->kill();
-  // Membership will learn and clean up; the front-ends must *discover*
-  // the failure through timeouts (the realistic path) — a crash publishes
-  // no view. We only update the authoritative record here.
-  membership_.fail(id);
-}
-
-void EmulatedCluster::revive_node(NodeId id) {
-  NodeRuntime& node = *nodes_.at(id);
-  if (node.alive()) return;
-  // Still on its ring with its download finished: the node kept its data
-  // across the crash and can serve once the view republishes. Removed by
-  // long-term cleanup (data merged into neighbours) or crashed before its
-  // warmup completed: it must (re)download before serving, like a fresh
-  // join (§4.3). Either way node.start() pulls the current view, which
-  // re-derives any §4.5 fetch duty the crash destroyed — the epoch
-  // broadcast subsumes the old fetch-order re-issue dance.
-  uint32_t member_ring = membership_.members().at(id).ring;
-  bool in_place = membership_.ring(member_ring).contains(id) &&
-                  !control_->is_warming(id);
-  // Long-term cleanup unsubscribed the node; a revival is a rejoin for
-  // the view protocol either way (subscribe is idempotent).
-  control_->subscribe_node(id);
-  node.start();
-  membership_.revive(id);
-  if (in_place) {
-    publish_view();
-    // The crash never bumped the epoch (front-ends discovered it by
-    // timeout), so a revival may be a no-op diff: force a full resync so
-    // every mirror resurrects the node's liveness now.
-    control_->resync(/*everyone=*/true);
-  } else {
-    schedule_warmup_push(id);
-  }
-  ROAR_LOG(kInfo) << "cluster: node " << id << " revived at t="
-                  << loop_.now() << (in_place ? " (in place)"
-                                              : " (rejoin, reloading)");
 }
 
 void EmulatedCluster::leave_node(NodeId id) {
@@ -417,45 +75,6 @@ uint32_t EmulatedCluster::remove_dead_nodes() {
   }
   if (!dead.empty()) publish_view();
   return static_cast<uint32_t>(dead.size());
-}
-
-void EmulatedCluster::kill_frontend(uint32_t i) {
-  Frontend& fe = *frontends_.at(i);
-  if (!fe.alive()) return;
-  fe.stop();
-  control_->set_frontend_down(fe.address(), true);
-  ROAR_LOG(kInfo) << "cluster: frontend " << i << " crashed at t="
-                  << loop_.now();
-}
-
-void EmulatedCluster::revive_frontend(uint32_t i) {
-  Frontend& fe = *frontends_.at(i);
-  if (fe.alive()) return;
-  control_->set_frontend_down(fe.address(), false);
-  fe.start();  // pulls the current view; serves once it applies
-  ROAR_LOG(kInfo) << "cluster: frontend " << i << " revived at t="
-                  << loop_.now();
-}
-
-double EmulatedCluster::balance_round() {
-  double moved = membership_.balance_step();
-  if (moved > 0) publish_view();
-  return moved;
-}
-
-void EmulatedCluster::change_p(uint32_t p_new) {
-  control_->order_p_change(p_new);
-}
-
-uint64_t EmulatedCluster::submit_query(Frontend::QueryCallback cb) {
-  return pick_ready_frontend(frontends_, next_frontend_)
-      .submit(std::move(cb));
-}
-
-uint64_t EmulatedCluster::submit_query(const QueryRequest& req,
-                                       Frontend::QueryCallback cb) {
-  return pick_ready_frontend(frontends_, next_frontend_)
-      .submit(req, std::move(cb));
 }
 
 uint32_t EmulatedCluster::run_queries(double rate_per_s, uint32_t count,
@@ -520,18 +139,6 @@ void EmulatedCluster::ingest_stream(double rate_per_s, uint32_t count,
   }
 }
 
-std::vector<IngestReplicaView> EmulatedCluster::ingest_replicas() const {
-  return collect_ingest_replicas(nodes_);
-}
-
-bool EmulatedCluster::ingest_converged() const {
-  if (!ingest_router_) return true;
-  auto reps = ingest_replicas();
-  return ingest_convergence_report(*ingest_router_, reps,
-                                   /*probe_matches=*/false)
-      .empty();
-}
-
 bool EmulatedCluster::run_until_ingest_converged(double timeout_s) {
   double deadline = loop_.now() + timeout_s;
   // Advance before the first verdict: a just-revived or just-joined node
@@ -541,22 +148,6 @@ bool EmulatedCluster::run_until_ingest_converged(double timeout_s) {
     loop_.run_until(std::min(loop_.now() + 0.25, deadline));
   } while (!ingest_converged() && loop_.now() < deadline);
   return ingest_converged();
-}
-
-double EmulatedCluster::rated_capacity_qps() const {
-  return rated_capacity(config_);
-}
-
-uint64_t EmulatedCluster::admission_shed_total() const {
-  uint64_t n = 0;
-  for (const auto& fe : frontends_) n += fe->shed_count();
-  return n;
-}
-
-uint64_t EmulatedCluster::node_shed_total() const {
-  uint64_t n = 0;
-  for (const auto& node : nodes_) n += node->subs_shed();
-  return n;
 }
 
 std::vector<double> EmulatedCluster::node_busy_fractions() const {

@@ -1,87 +1,51 @@
-// The emulated ROAR deployment: N node runtimes + F front-ends + the
-// control plane glued over the in-process network on one virtual-time
-// event loop.
+// The emulated ROAR deployment: the cluster assembly (cluster/assembly.h)
+// over the virtual-time substrate — one EventLoop carrying an
+// InProcNetwork, optionally decorated by a seeded FaultTransport.
 //
 // This is the Chapter 7 substrate: the same control-plane code paths a
 // physical deployment runs (joins, view-epoch broadcasts, reconfiguration
 // fetch duties and confirmations, failure detection by timeout, §4.4
-// splits), with node matching rates taken from the PPS measurements. See
-// DESIGN.md for the substitution argument.
-//
-// Control state flows exclusively through the epoch-versioned ClusterView
-// (core/cluster_view.h): the harness mutates the membership server, then
-// calls publish_view(); the ControlPlane diffs, broadcasts, and every
-// front-end and node converges through the delta/ack/pull protocol —
-// identical over InProc virtual time and the TCP transport.
+// splits), with node matching rates taken from the PPS measurements.
+// ClusterAssembly builds and runs the components exactly as it does over
+// real sockets in TcpCluster; this harness adds only the substrate and the
+// operations that need virtual time (timed joins, departures, long-term
+// cleanup, Poisson workloads). See ARCHITECTURE.md for the
+// assembly/substrate split and the substitution argument.
 #pragma once
 
 #include <memory>
-#include <set>
 #include <vector>
 
-#include "cluster/control.h"
-#include "cluster/frontend.h"
-#include "cluster/node.h"
-#include "common/metrics.h"
-#include "core/membership.h"
-#include "core/tracer.h"
+#include "cluster/assembly.h"
 #include "net/fault_transport.h"
 #include "net/inproc.h"
-#include "sim/farm.h"
 
 namespace roar::cluster {
 
-struct ClusterConfig {
+struct ClusterConfig : AssemblyConfig {
+  // The paper's 5M-metadata headline at p = 8.
+  ClusterConfig() : AssemblyConfig(/*dataset=*/5'000'000, /*p0=*/8) {}
+
   std::vector<sim::ServerClass> classes = sim::hen_testbed();
-  uint64_t dataset_size = 5'000'000;  // metadata (the paper's 5M headline)
-  uint32_t p = 8;
-  // Front-end instances (§4.8/§4.9 scale-out). Each has its own address,
-  // scheduler RNG stream and EWMA estimator state.
-  uint32_t frontends = 1;
-  FrontendParams frontend;  // p is overwritten from the field above
-  NodeParams node_proto;    // id/speed overwritten per node
   double latency_s = 100e-6;
-  uint64_t seed = 1;
-  // Membership balance iterations at startup (ranges ∝ speed).
-  uint32_t initial_balance_steps = 800;
   // When set, the whole cluster runs over a seeded FaultTransport
   // decorating the InProcNetwork; default_faults seeds its baseline
   // per-link model (partitions etc. are scripted later via faults()).
   bool enable_faults = false;
   net::FaultSpec default_faults{};
-  // Live ingestion: builds one shared MatchEngine (real corpus), gives
-  // every node an IngestLog + versioned store (with modeled timing, so
-  // virtual-time traces stay host-independent) and attaches an
-  // IngestRouter to the front-end at kUpdateServerAddr. Off by default:
-  // without it the cluster is byte-identical with the pre-ingest code.
-  bool enable_ingest = false;
-  MatchEngineConfig engine{};
-  IngestConfig ingest{};
   // Closed-loop p control: the ControlPlane ticks an AdaptivePController
   // fed by node load reports and front-end latency digests. Enabling it
   // defaults stats_interval_s / digest_interval_s to 1 s if unset.
   bool adaptive_p = false;
   core::AdaptivePParams adaptive{};
   double adaptive_interval_s = 4.0;
-  // Laggard-resync cadence of the control plane.
-  double control_retransmit_s = 0.5;
-  // Dissemination-tree fanout k (control-plane roots and interior relay
-  // nodes) and the tree/sliced decision divisor: waves interesting at
-  // least node_count/tree_divisor subscribers go through the relay tree,
-  // smaller ones are sent directly to the interested slice.
-  uint32_t relay_fanout = 8;
-  uint32_t tree_divisor = 4;
-  // Overload control (core/slo.h): per-class contracts feeding frontend
-  // admission/shedding, Spang-sized queue bounds on frontends and nodes,
-  // and (with adaptive_p) the controller's p99 target — all from this one
-  // spec. Caps left 0 are derived from the cluster's capacity; see
-  // rated_capacity_qps().
-  core::SloSpec slo;
 };
 
-class EmulatedCluster {
+// Every endpoint shares the one in-process transport on the caller's
+// event loop, so the substrate has a single shard and never marshals.
+class EmulatedSubstrate : public Substrate {
  public:
-  explicit EmulatedCluster(ClusterConfig config);
+  explicit EmulatedSubstrate(const ClusterConfig& config);
 
   net::EventLoop& loop() { return loop_; }
   net::InProcNetwork& network() { return net_; }
@@ -92,80 +56,37 @@ class EmulatedCluster {
   }
   // The fault-injection layer, or nullptr when enable_faults is unset.
   net::FaultTransport* faults() { return faults_.get(); }
-  ControlPlane& control() { return *control_; }
-  const ControlPlane& control() const { return *control_; }
-  Frontend& frontend() { return *frontends_.front(); }  // instance 0
-  Frontend& frontend(uint32_t i) { return *frontends_.at(i); }
-  const Frontend& frontend(uint32_t i) const { return *frontends_.at(i); }
-  uint32_t frontend_count() const {
-    return static_cast<uint32_t>(frontends_.size());
-  }
-  core::MembershipServer& membership() { return membership_; }
-  // The ingest router, or nullptr when enable_ingest is unset.
-  IngestRouter* ingest() { return ingest_router_.get(); }
-  const IngestRouter* ingest() const { return ingest_router_.get(); }
-  // The shared matching engine, or nullptr without ingestion.
-  const MatchEngine* engine() const { return engine_.get(); }
+  double now() const { return loop_.now(); }
 
-  size_t node_count() const { return nodes_.size(); }
-  NodeRuntime& node(NodeId id) { return *nodes_.at(id); }
-  std::vector<NodeId> node_ids() const;
+ private:
+  net::Transport& control_transport() override { return transport(); }
+  net::Transport& node_transport(NodeId) override { return transport(); }
+  void deliver_first_view(const std::function<bool()>& ready) override;
 
-  // --- observability ------------------------------------------------------
-  // The unified metrics plane: every component's counters exposed through
-  // one registry (lazy gauges evaluated at snapshot), plus the hot-path
-  // latency/service histograms the frontends and nodes feed directly.
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-  // The cluster tracer (one virtual-time ring; the whole harness is
-  // single-threaded, so ring reads are always safe here).
-  core::Tracer& tracer() { return tracer_; }
-  const core::Tracer& tracer() const { return tracer_; }
-  // Merged, time-sorted trace events from every component.
-  std::vector<core::TraceEvent> trace_events() const {
-    return tracer_.collect();
-  }
+ protected:
+  net::EventLoop loop_;
+  net::InProcNetwork net_;
+  std::unique_ptr<net::FaultTransport> faults_;
+  double latency_s_;
+};
 
-  // Publishes the current membership + reconfiguration state as a new
-  // view epoch (no-op when nothing changed). Laggards converge through
-  // the control plane's retransmit tick; the heal and revive paths call
-  // control().resync() explicitly for promptness. Called automatically
-  // after membership events.
-  void publish_view();
+// The substrate base comes first: it is built before every component and
+// destroyed after them (~IngestLog/~IngestRouter cancel timers on loop_).
+class EmulatedCluster : public EmulatedSubstrate, public ClusterAssembly {
+ public:
+  explicit EmulatedCluster(ClusterConfig config);
 
   // --- membership operations -------------------------------------------
   // Joins a fresh node; it downloads its data for `warmup` simulated
   // seconds (derived from range size and fetch bandwidth) before serving.
   NodeId add_node(double speed);
-  // Crash-stops a node: it silently vanishes; the front-ends must
-  // discover it by timeout (no view is published for a crash).
-  void kill_node(NodeId id);
-  // Restarts a crashed node in place: it rebinds, pulls the current view
-  // (resuming any §4.5 duty it lost) and resumes its old range
-  // (membership history, §4.9).
-  void revive_node(NodeId id);
   // Graceful departure: the node stops serving, neighbours absorb its
   // range, and the front-ends forget it with the next view epoch.
   void leave_node(NodeId id);
-  // Background range balancing round (§4.6); returns range fraction moved.
-  double balance_round();
   // Long-term failure handling (§4.9): drop crashed nodes from the ring so
   // their ranges merge into live successors, and publish. Returns the
   // number of nodes removed.
   uint32_t remove_dead_nodes();
-
-  // --- front-end lifecycle (§4.8 scale-out) ------------------------------
-  // Crash-stops front-end `i`: its pending queries fail, its address
-  // unbinds, and the control plane stops waiting on its acks.
-  void kill_frontend(uint32_t i);
-  // Restarts it; it pulls the current view and refuses queries until the
-  // view applies.
-  void revive_frontend(uint32_t i);
-
-  // --- reconfiguration (§4.5) -------------------------------------------
-  void change_p(uint32_t p_new);
-  uint32_t safe_p() const { return control_->safe_p(); }
-  uint32_t target_p() const { return control_->target_p(); }
 
   // --- workload -----------------------------------------------------------
   // Open-loop Poisson queries, round-robined over the front-ends; runs
@@ -173,10 +94,6 @@ class EmulatedCluster {
   // Returns completed count.
   uint32_t run_queries(double rate_per_s, uint32_t count,
                        double give_up_s = 600.0);
-  // Submits one query on the next front-end (round-robin).
-  uint64_t submit_query(Frontend::QueryCallback cb);
-  // Classed submission (the workload engine's entry point).
-  uint64_t submit_query(const QueryRequest& req, Frontend::QueryCallback cb);
   // Object updates at Poisson rate for `duration_s` (§7.3.4); each update
   // goes to every node storing the object's arc. Legacy modeled-cost
   // stream — real mutation goes through ingest_stream / the router.
@@ -189,24 +106,11 @@ class EmulatedCluster {
   // any client's would.
   void ingest_stream(double rate_per_s, uint32_t count,
                      double delete_frac = 0.2);
-  // Current replica views (live nodes with ranges), for the convergence
-  // and safety reports.
-  std::vector<IngestReplicaView> ingest_replicas() const;
-  // True when every replica of every shard has caught up with the router.
-  bool ingest_converged() const;
   // Runs the loop until ingest_converged() or `timeout_s` virtual seconds
   // elapse; returns the converged verdict.
   bool run_until_ingest_converged(double timeout_s = 60.0);
 
   // --- metrics -------------------------------------------------------------
-  double now() const { return loop_.now(); }
-  // Analytic saturation throughput: aggregate matching rate over the
-  // per-query scan work. The workload engine and bench_overload express
-  // offered load as multiples of this; the SLO cap derivation uses it.
-  double rated_capacity_qps() const;
-  // Aggregate overload-control counters across frontends / nodes.
-  uint64_t admission_shed_total() const;
-  uint64_t node_shed_total() const;
   std::vector<double> node_busy_fractions() const;
   // Energy over the elapsed virtual time with a linear power model.
   double energy_joules(double idle_w = 200.0, double peak_w = 285.0) const;
@@ -214,26 +118,7 @@ class EmulatedCluster {
   const SampleSet& delays() const { return frontends_.front()->delays(); }
 
  private:
-  void make_node(NodeId id, double speed);
-  void schedule_warmup_push(NodeId id);
-  void register_gauges();
-
-  ClusterConfig config_;
-  net::EventLoop loop_;
-  net::InProcNetwork net_;
-  // Observability plane. Declared before the components that record into
-  // it, so it is destroyed after them.
-  MetricsRegistry metrics_;
-  core::Tracer tracer_;
-  std::unique_ptr<net::FaultTransport> faults_;
-  core::MembershipServer membership_;
-  std::unique_ptr<ControlPlane> control_;
-  std::vector<std::unique_ptr<Frontend>> frontends_;
-  std::shared_ptr<const MatchEngine> engine_;
-  std::unique_ptr<IngestRouter> ingest_router_;
-  std::vector<std::unique_ptr<NodeRuntime>> nodes_;
   Rng rng_;
-  uint32_t next_frontend_ = 0;  // round-robin submit cursor
   double measure_start_ = 0.0;
 };
 

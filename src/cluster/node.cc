@@ -635,16 +635,6 @@ void NodeRuntime::send_fetch_complete(uint32_t new_p) {
   net_.send(address(), kMembershipAddr, done.encode());
 }
 
-std::vector<IngestReplicaView> collect_ingest_replicas(
-    std::span<const std::unique_ptr<NodeRuntime>> nodes) {
-  std::vector<IngestReplicaView> out;
-  for (const auto& n : nodes) {
-    if (!n->alive() || !n->ingest() || n->range().empty()) continue;
-    out.push_back({n->id(), n->ingest(), n->stored_arc()});
-  }
-  return out;
-}
-
 void NodeRuntime::on_update(const ObjectUpdateMsg& m) {
   (void)m;
   enqueue_work(params_.update_cost_s);

@@ -28,7 +28,6 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "cluster/ingest.h"
@@ -308,11 +307,5 @@ class NodeRuntime {
   size_t trace_shard_ = 0;
   Histogram* service_hist_ = nullptr;
 };
-
-// The replica views (live, ranged, ingest-enabled nodes) the
-// convergence/safety reports take. Shared by both harnesses so their
-// replica-eligibility rule cannot drift apart.
-std::vector<IngestReplicaView> collect_ingest_replicas(
-    std::span<const std::unique_ptr<NodeRuntime>> nodes);
 
 }  // namespace roar::cluster

@@ -1,420 +1,118 @@
 #include "cluster/tcp_cluster.h"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "common/logging.h"
-#include "common/rng.h"
 
 namespace roar::cluster {
 
-TcpCluster::TcpCluster(TcpClusterConfig config)
-    : config_(std::move(config)),
-      driver_(config_.reactor_shards == 0 ? 1 : config_.reactor_shards),
-      tracer_(driver_.shards()),
-      // Seed streams are shared with EmulatedCluster (common/rng.h
-      // subseed) so the same `seed` yields the same membership positions
-      // and front-end decisions — the parity test depends on it.
-      membership_(core::MembershipConfig{},
-                  subseed(config_.seed, SeedStream::kMembership)) {
-  config_.frontend.p = config_.p;
-  config_.frontend.subquery_overhead_s = config_.node_proto.subquery_overhead_s;
-  config_.speeds.resize(config_.nodes, 1.0);
-  if (config_.frontends == 0) config_.frontends = 1;
-  if (config_.slo.enabled) {
-    // Same derivation as EmulatedCluster (core::resolve_slo): the
-    // contract spec sizes the admission cap and the node queue bounds.
-    double agg_rate = 0.0;
-    for (double s : config_.speeds) {
-      agg_rate += s * config_.node_proto.base_rate;
-    }
-    double cap_qps =
-        agg_rate > 0
-            ? 1.0 / (static_cast<double>(config_.dataset_size) / agg_rate +
-                     config_.node_proto.subquery_overhead_s * config_.p /
-                         std::max(1u, config_.nodes))
-            : 0.0;
-    double per_node_subq = cap_qps * config_.p / std::max(1u, config_.nodes);
-    core::ResolvedSlo r = core::resolve_slo(
-        config_.slo, cap_qps, per_node_subq, config_.frontends);
-    config_.frontend.slo_enabled = true;
-    config_.frontend.admission = r.admission;
-    if (config_.node_proto.exec_queue_cap == 0) {
-      config_.node_proto.exec_queue_cap = r.node_exec_queue_cap;
-    }
-    if (config_.node_proto.max_backlog_s <= 0) {
-      config_.node_proto.max_backlog_s = r.node_max_backlog_s;
-    }
-  }
+namespace {
 
+// One single-node class per node, so the assembly's capacity formula sums
+// exactly the per-node speeds.
+std::vector<sim::ServerClass> node_classes(const TcpClusterConfig& c) {
+  std::vector<sim::ServerClass> out(c.nodes, {"", 1, 1.0});
+  for (size_t i = 0; i < out.size() && i < c.speeds.size(); ++i) {
+    out[i].speed = c.speeds[i];
+  }
+  return out;
+}
+
+ClusterAssembly::Wiring tcp_wiring(const TcpClusterConfig& c) {
+  ClusterAssembly::Wiring w;
+  w.real_matching = c.real_matching;
+  return w;
+}
+
+}  // namespace
+
+TcpSubstrate::TcpSubstrate(const TcpClusterConfig& config)
+    : driver_(config.reactor_shards == 0 ? 1 : config.reactor_shards),
+      latency_hint_s_(config.latency_hint_s),
+      node_workers_(config.node_workers),
+      exec_batch_max_(config.exec_batch_max) {
   // Control endpoint: control plane + front-ends share one listener, as
   // they share a process in the paper's deployment.
   transports_.push_back(std::make_unique<net::TcpTransport>(driver_));
-  net::TcpTransport& control = *transports_.front();
-  control.set_latency_hint(config_.latency_hint_s);
+  transports_[0]->set_latency_hint(latency_hint_s_);
+}
 
-  ControlPlaneParams cp;
-  cp.initial_p = config_.p;
-  cp.retransmit_interval_s = config_.control_retransmit_s;
-  cp.relay_fanout = config_.relay_fanout;
-  cp.tree_divisor = config_.tree_divisor;
-  control_ = std::make_unique<ControlPlane>(control, membership_, cp);
-  control_->on_reconfigured = [](uint32_t new_p) {
-    ROAR_LOG(kInfo) << "tcp-cluster: reconfiguration to p=" << new_p
-                    << " complete";
+// Everything the assembly wires runs before driver_.start(), so
+// registering listeners with not-yet-running shard loops is
+// single-threaded.
+net::Transport& TcpSubstrate::node_transport(NodeId id) {
+  transports_.push_back(
+      std::make_unique<net::TcpTransport>(driver_, node_shard(id)));
+  transports_.back()->set_latency_hint(latency_hint_s_);
+  return *transports_.back();
+}
+
+void TcpSubstrate::attach(NodeRuntime& node) {
+  if (node_workers_ == 0) return;
+  // One pool per node: a node's lanes model its own cores, so capacity
+  // scales per node exactly as the paper's thread sweeps do.
+  pools_.push_back(std::make_unique<core::WorkerPool>(node_workers_));
+  NodeExecutor exec;
+  exec.pool = pools_.back().get();
+  // Completions must land on the shard thread that owns this node's
+  // transport and state, not on shard 0.
+  uint32_t shard = node_shard(node.id());
+  exec.post = [this, shard](std::function<void()> fn) {
+    driver_.post_to(shard, std::move(fn));
   };
-  control_->start();
+  exec.batch_max = exec_batch_max_;
+  node.set_executor(std::move(exec));
+}
 
-  for (uint32_t i = 0; i < config_.frontends; ++i) {
-    frontends_.push_back(std::make_unique<Frontend>(
-        control, i, config_.frontend, config_.dataset_size,
-        frontend_seed(config_.seed, i)));
-    control_->subscribe_frontend(frontends_.back()->address());
-    frontends_.back()->set_tracer(&tracer_, 0);
-    frontends_.back()->set_latency_histogram(
-        &metrics_.histogram("frontend.latency_s"));
-    frontends_.back()->start();
-  }
+void TcpSubstrate::on_shard(size_t shard,
+                            const std::function<void()>& fn) const {
+  // run_on mutates the target shard's mailbox; logically const here.
+  const_cast<net::TcpDriver&>(driver_).run_on(shard, fn);
+}
 
-  // Real matching: one immutable engine shared by every node (each node
-  // scans only the slice a sub-query's window selects, so sharing the
-  // corpus changes nothing observable and saves N-1 encryptions).
-  if (config_.enable_ingest) config_.real_matching = true;
-  if (config_.real_matching) {
-    engine_ = std::make_shared<const MatchEngine>(config_.engine);
-  }
-  if (config_.enable_ingest) {
-    ingest_router_ = std::make_unique<IngestRouter>(
-        control, config_.ingest, subseed(config_.seed, SeedStream::kIngest),
-        engine_, [this] { return membership_.ring(0); },
-        [this] { return control_->storage_p(); });
-    ingest_router_->set_tracer(&tracer_, 0);
-    ingest_router_->start();
-    for (auto& fe : frontends_) fe->set_ingest(ingest_router_.get());
-  }
-
-  // One listener per storage node, spread round-robin over the reactor
-  // shards. Everything below runs before driver_.start(), so registering
-  // listeners with not-yet-running shard loops is single-threaded.
-  for (NodeId id = 0; id < config_.nodes; ++id) {
-    uint32_t shard = static_cast<uint32_t>(id % driver_.shards());
-    node_shards_.push_back(shard);
-    auto transport = std::make_unique<net::TcpTransport>(driver_, shard);
-    transport->set_latency_hint(config_.latency_hint_s);
-    NodeParams np = config_.node_proto;
-    np.id = id;
-    np.speed = config_.speeds[id];
-    auto node = std::make_unique<NodeRuntime>(*transport, np,
-                                              config_.dataset_size);
-    // The node records trace events into its own shard's ring (loop
-    // thread only — the TSan-bench contract).
-    node->set_tracer(&tracer_, shard);
-    node->set_service_histogram(&metrics_.histogram("node.service_s"));
-    if (engine_) node->set_match_engine(engine_);
-    if (config_.enable_ingest) node->enable_ingest(config_.ingest, engine_);
-    if (config_.node_workers > 0) {
-      // One pool per node: a node's lanes model its own cores, so capacity
-      // scales per node exactly as the paper's thread sweeps do.
-      pools_.push_back(
-          std::make_unique<core::WorkerPool>(config_.node_workers));
-      NodeExecutor exec;
-      exec.pool = pools_.back().get();
-      // Completions must land on the shard thread that owns this node's
-      // transport and state, not on shard 0.
-      exec.post = [this, shard](std::function<void()> fn) {
-        driver_.post_to(shard, std::move(fn));
-      };
-      exec.batch_max = config_.exec_batch_max;
-      node->set_executor(std::move(exec));
-    }
-    control_->subscribe_node(id);
-    node->start();
-    membership_.join(id, np.speed);
-    transports_.push_back(std::move(transport));
-    nodes_.push_back(std::move(node));
-  }
-
-  for (uint32_t i = 0; i < config_.initial_balance_steps; ++i) {
-    if (membership_.balance_step() == 0.0) break;
-  }
-  publish_view();
-  // Everything is registered; spin up the shard threads (no-op with one
-  // shard) before the first drain.
+void TcpSubstrate::deliver_first_view(const std::function<bool()>& ready) {
+  // Every endpoint is registered; spin up the shard threads (no-op with
+  // one shard) before the first drain. Nodes on other shards report
+  // readiness through their atomic has_range() flag.
   driver_.start();
-  // Drain the first view epoch so every node knows its slice and every
-  // front-end is ready before queries; serving with empty ranges would
-  // silently corrupt outcomes, so a drain failure is fatal here. Nodes on
-  // other shards are checked through their atomic readiness flag.
-  bool synced = driver_.run_until([this] {
-    for (const auto& n : nodes_) {
-      if (!n->has_range()) return false;
-    }
-    for (const auto& fe : frontends_) {
-      if (!fe->ready()) return false;
-    }
-    return true;
-  });
-  if (!synced) {
+  if (!driver_.run_until(ready)) {
+    // No destructor runs for a constructor that throws: stop the threads
+    // here, before the components unwind under them.
+    shutdown();
     throw std::runtime_error("TcpCluster: initial view never delivered");
   }
-
-  register_gauges();
-  // Flight dumps render from the caller thread (anomalies originate in
-  // frontend timeout paths and harness invariant checks, both
-  // caller-driven); trace_events() marshals the shard-ring reads.
-  tracer_.set_dump_renderer([this](uint64_t id, const std::string& reason) {
-    return core::render_flight_dump(trace_events(), id, reason,
-                                    metrics_.to_text());
-  });
 }
 
-// Same naming scheme as EmulatedCluster::register_gauges so dashboards
-// and baselines read identically off either harness. Per-node counters
-// are plain fields owned by shard threads, so their gauges marshal the
-// reads through on_node_shard; transport/driver/pool counters are
-// relaxed atomics and read directly.
-void TcpCluster::register_gauges() {
-  metrics_.gauge_fn("frontend.completed", [this] {
-    uint64_t n = 0;
-    for (const auto& fe : frontends_) n += fe->queries_completed();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("frontend.failures_detected", [this] {
-    uint64_t n = 0;
-    for (const auto& fe : frontends_) n += fe->failures_detected();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("frontend.shed", [this] {
-    uint64_t n = 0;
-    for (const auto& fe : frontends_) n += fe->shed_count();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("frontend.parts_shed", [this] {
-    uint64_t n = 0;
-    for (const auto& fe : frontends_) n += fe->parts_shed();
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("frontend.queue_hwm", [this] {
-    size_t m = 0;
-    for (const auto& fe : frontends_) m = std::max(m, fe->queue_hwm());
-    return static_cast<double>(m);
-  });
-  metrics_.gauge_fn("node.subqueries", [this] {
-    uint64_t n = 0;
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-      on_node_shard(id, [&] { n += nodes_[id]->subqueries_served(); });
-    }
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("node.updates_applied", [this] {
-    uint64_t n = 0;
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-      on_node_shard(id, [&] { n += nodes_[id]->updates_applied(); });
-    }
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("node.shed", [this] {
-    uint64_t n = 0;
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-      on_node_shard(id, [&] { n += nodes_[id]->subs_shed(); });
-    }
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("node.exec_queue_hwm", [this] {
-    size_t m = 0;
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-      on_node_shard(id,
-                    [&] { m = std::max(m, nodes_[id]->exec_queue_hwm()); });
-    }
-    return static_cast<double>(m);
-  });
-  metrics_.gauge_fn("net.messages_sent", [this] {
-    return static_cast<double>(messages_sent());
-  });
-  metrics_.gauge_fn("net.messages_dropped", [this] {
-    return static_cast<double>(messages_dropped());
-  });
-  metrics_.gauge_fn("net.bytes_sent", [this] {
-    return static_cast<double>(bytes_sent());
-  });
-  driver_.register_metrics(metrics_, "driver");
-  metrics_.gauge_fn("pool.tasks_executed", [this] {
-    return static_cast<double>(pool_tasks_executed());
-  });
-  metrics_.gauge_fn("pool.tasks_stolen", [this] {
-    return static_cast<double>(pool_tasks_stolen());
-  });
-  metrics_.gauge_fn("pool.ring_full_events", [this] {
-    return static_cast<double>(pool_ring_full_events());
-  });
-  metrics_.gauge_fn("pool.express_submits", [this] {
-    return static_cast<double>(pool_express_submits());
-  });
-  metrics_.gauge_fn("control.epoch", [this] {
-    return static_cast<double>(control_->epoch());
-  });
-  metrics_.gauge_fn("control.epoch_lag", [this] {
-    return static_cast<double>(control_->max_epoch_lag());
-  });
-  metrics_.gauge_fn("control.p_changes_committed", [this] {
-    return static_cast<double>(control_->p_changes_committed());
-  });
-  metrics_.gauge_fn("control.deltas_sent", [this] {
-    return static_cast<double>(control_->deltas_sent());
-  });
-  metrics_.gauge_fn("control.interest_filtered_sends", [this] {
-    return static_cast<double>(control_->interest_skips());
-  });
-  metrics_.gauge_fn("control.acks_aggregated", [this] {
-    return static_cast<double>(control_->acks_aggregated());
-  });
-  metrics_.gauge_fn("control.compaction_ratio", [this] {
-    return control_->compaction_ratio();
-  });
-  metrics_.gauge_fn("control.delta_log_retain", [this] {
-    return static_cast<double>(control_->delta_log_retain());
-  });
-  metrics_.gauge_fn("control.tree_rebuilds", [this] {
-    return static_cast<double>(control_->tree_rebuilds());
-  });
-  metrics_.gauge_fn("control.deltas_relayed", [this] {
-    uint64_t n = 0;
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-      on_node_shard(id, [&] { n += nodes_[id]->deltas_relayed(); });
-    }
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("control.node_acks_aggregated", [this] {
-    uint64_t n = 0;
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-      on_node_shard(id, [&] { n += nodes_[id]->acks_aggregated(); });
-    }
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("control.interests_registered", [this] {
-    uint64_t n = 0;
-    for (NodeId id = 0; id < nodes_.size(); ++id) {
-      on_node_shard(id, [&] { n += nodes_[id]->interests_sent(); });
-    }
-    return static_cast<double>(n);
-  });
-  metrics_.gauge_fn("trace.events", [this] {
-    return static_cast<double>(tracer_.events_recorded());
-  });
-  metrics_.gauge_fn("trace.anomalies", [this] {
-    return static_cast<double>(tracer_.anomalies_seen());
-  });
-  if (ingest_router_) {
-    IngestRouter* r = ingest_router_.get();
-    metrics_.gauge_fn("ingest.ops_accepted", [r] {
-      return static_cast<double>(r->ops_accepted());
-    });
-    metrics_.gauge_fn("ingest.updates_sent", [r] {
-      return static_cast<double>(r->updates_sent());
-    });
-    metrics_.gauge_fn("ingest.retransmits", [r] {
-      return static_cast<double>(r->retransmits());
-    });
-    metrics_.gauge_fn("ingest.loss_events", [r] {
-      return static_cast<double>(r->loss_events());
-    });
-    metrics_.gauge_fn("ingest.flow_abandoned", [r] {
-      return static_cast<double>(r->flow_abandoned());
-    });
-    metrics_.gauge_fn("ingest.syncs_served", [r] {
-      return static_cast<double>(r->syncs_served());
-    });
-    metrics_.gauge_fn("ingest.sync_chunks_sent", [r] {
-      return static_cast<double>(r->sync_chunks_sent());
-    });
-    metrics_.gauge_fn("ingest.full_segments_sent", [r] {
-      return static_cast<double>(r->full_segments_sent());
-    });
-    metrics_.gauge_fn("ingest.ops_applied", [this] {
-      uint64_t n = 0;
-      for (NodeId id = 0; id < nodes_.size(); ++id) {
-        on_node_shard(id, [&] {
-          if (nodes_[id]->ingest()) n += nodes_[id]->ingest()->ops_applied();
-        });
-      }
-      return static_cast<double>(n);
-    });
-  }
-}
-
-std::vector<core::TraceEvent> TcpCluster::trace_events() const {
-  std::vector<core::TraceEvent> all;
-  auto& driver = const_cast<net::TcpDriver&>(driver_);
-  for (size_t s = 0; s < tracer_.shards(); ++s) {
-    // Each ring is read on its owning loop thread (inline for shard 0).
-    driver.run_on(s, [&] {
-      auto evs = tracer_.events(s);
-      all.insert(all.end(), evs.begin(), evs.end());
-    });
-  }
-  std::sort(all.begin(), all.end(),
-            [](const core::TraceEvent& a, const core::TraceEvent& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if (a.trace_id != b.trace_id) return a.trace_id < b.trace_id;
-              if (a.stage != b.stage) return a.stage < b.stage;
-              if (a.actor != b.actor) return a.actor < b.actor;
-              return a.part < b.part;
-            });
-  return all;
-}
-
-TcpCluster::~TcpCluster() {
-  // Join the shard threads before any member (nodes, transports, pools)
-  // destructs: a live shard loop may be mid-handler inside a node.
+void TcpSubstrate::shutdown() {
   driver_.stop();
+  pools_.clear();
 }
 
-void TcpCluster::on_node_shard(NodeId id,
-                               const std::function<void()>& fn) const {
-  // run_on mutates the target shard's mailbox; logically const here.
-  auto& driver = const_cast<net::TcpDriver&>(driver_);
-  driver.run_on(node_shards_.at(id), fn);
+uint64_t TcpSubstrate::pool_sum(
+    uint64_t (core::WorkerPool::*get)() const) const {
+  uint64_t total = 0;
+  for (const auto& p : pools_) total += (*p.*get)();
+  return total;
 }
 
-uint16_t TcpCluster::node_port(NodeId id) const {
-  return transports_.at(id + 1)->port();
+TcpCluster::TcpCluster(TcpClusterConfig config)
+    : TcpSubstrate(config),
+      ClusterAssembly(*this, config, driver_.shards()) {
+  assemble(node_classes(config), tcp_wiring(config));
+  // Substrate counters: relaxed atomics, read directly.
+  driver_.register_metrics(metrics_, "driver");
+  const std::pair<const char*, uint64_t (TcpCluster::*)() const> pool[] = {
+      {"pool.tasks_executed", &TcpCluster::pool_tasks_executed},
+      {"pool.tasks_stolen", &TcpCluster::pool_tasks_stolen},
+      {"pool.ring_full_events", &TcpCluster::pool_ring_full_events},
+      {"pool.express_submits", &TcpCluster::pool_express_submits},
+  };
+  for (const auto& [name, get] : pool) {
+    metrics_.gauge_fn(name, [this, get = get] {
+      return static_cast<double>((this->*get)());
+    });
+  }
 }
 
-void TcpCluster::publish_view() {
-  // Same rule as EmulatedCluster::publish_view: the broadcast covers
-  // everyone; laggards are the retransmit tick's job.
-  control_->publish();
-}
-
-void TcpCluster::kill_node(NodeId id) {
-  on_node_shard(id, [&] { nodes_.at(id)->kill(); });
-  membership_.fail(id);
-}
-
-void TcpCluster::revive_node(NodeId id) {
-  NodeRuntime& node = *nodes_.at(id);
-  bool alive = false;
-  on_node_shard(id, [&] { alive = node.alive(); });
-  if (alive) return;
-  // pulls the current view over the socket
-  on_node_shard(id, [&] { node.start(); });
-  membership_.revive(id);
-  publish_view();
-  // The crash never bumped the epoch; force a full resync so the
-  // front-ends' mirrors resurrect the node's liveness (same choreography
-  // as the emulated harness).
-  control_->resync(/*everyone=*/true);
-}
-
-void TcpCluster::change_p(uint32_t p_new) {
-  control_->order_p_change(p_new);
-}
-
-uint64_t TcpCluster::submit_query(const QueryRequest& req,
-                                  Frontend::QueryCallback cb) {
-  return pick_ready_frontend(frontends_, next_frontend_)
-      .submit(req, std::move(cb));
-}
+TcpCluster::~TcpCluster() { shutdown(); }
 
 QueryOutcome TcpCluster::run_query(double timeout_s) {
   // Shared state, not stack references: on timeout the query stays
@@ -422,8 +120,7 @@ QueryOutcome TcpCluster::run_query(double timeout_s) {
   // later poll, after this frame is gone.
   auto out = std::make_shared<QueryOutcome>();
   auto done = std::make_shared<bool>(false);
-  Frontend& fe = pick_ready_frontend(frontends_, next_frontend_);
-  fe.submit([out, done](const QueryOutcome& o) {
+  submit_query([out, done](const QueryOutcome& o) {
     *out = o;
     *done = true;
   });
@@ -446,46 +143,6 @@ void TcpCluster::run_for(double duration_s) {
   while (driver_.clock().now() < until) driver_.poll(5);
 }
 
-uint64_t TcpCluster::messages_sent() const {
-  uint64_t total = 0;
-  for (const auto& t : transports_) total += t->messages_sent();
-  return total;
-}
-
-uint64_t TcpCluster::bytes_sent() const {
-  uint64_t total = 0;
-  for (const auto& t : transports_) total += t->bytes_sent();
-  return total;
-}
-
-uint64_t TcpCluster::messages_dropped() const {
-  uint64_t total = 0;
-  for (const auto& t : transports_) total += t->messages_dropped();
-  return total;
-}
-
-std::vector<IngestReplicaView> TcpCluster::ingest_replicas() const {
-  // Snapshot each node's replica view on its own shard thread (inline
-  // with one shard), so versioned-store state is never read concurrently
-  // with its owner.
-  std::vector<IngestReplicaView> out;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    on_node_shard(id, [&] {
-      auto one = collect_ingest_replicas({&nodes_[id], 1});
-      out.insert(out.end(), one.begin(), one.end());
-    });
-  }
-  return out;
-}
-
-bool TcpCluster::ingest_converged() const {
-  if (!ingest_router_) return true;
-  auto reps = ingest_replicas();
-  return ingest_convergence_report(*ingest_router_, reps,
-                                   /*probe_matches=*/false)
-      .empty();
-}
-
 bool TcpCluster::run_until_ingest_converged(double timeout_s) {
   double until = driver_.clock().now() + timeout_s;
   // Poll before the first verdict so pending range pushes land (a
@@ -494,46 +151,6 @@ bool TcpCluster::run_until_ingest_converged(double timeout_s) {
     driver_.poll(5);
   } while (!ingest_converged() && driver_.clock().now() < until);
   return ingest_converged();
-}
-
-uint64_t TcpCluster::batches_drained() const {
-  uint64_t total = 0;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    on_node_shard(id, [&] { total += nodes_[id]->batches_drained(); });
-  }
-  return total;
-}
-
-uint64_t TcpCluster::batched_subqueries() const {
-  uint64_t total = 0;
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    on_node_shard(id, [&] { total += nodes_[id]->batched_subqueries(); });
-  }
-  return total;
-}
-
-uint64_t TcpCluster::pool_tasks_executed() const {
-  uint64_t total = 0;
-  for (const auto& p : pools_) total += p->executed();
-  return total;
-}
-
-uint64_t TcpCluster::pool_tasks_stolen() const {
-  uint64_t total = 0;
-  for (const auto& p : pools_) total += p->stolen();
-  return total;
-}
-
-uint64_t TcpCluster::pool_ring_full_events() const {
-  uint64_t total = 0;
-  for (const auto& p : pools_) total += p->ring_full_events();
-  return total;
-}
-
-uint64_t TcpCluster::pool_express_submits() const {
-  uint64_t total = 0;
-  for (const auto& p : pools_) total += p->express_submits();
-  return total;
 }
 
 }  // namespace roar::cluster

@@ -1,50 +1,35 @@
-// The deployable ROAR cluster: F front-ends + control plane + N storage
-// nodes, each endpoint on its own loopback TCP listener, exchanging
-// byte-for-byte the protocol the emulated cluster runs in virtual time —
-// including the epoch-versioned ClusterView delta/ack/pull choreography.
+// The deployable ROAR cluster: the cluster assembly (cluster/assembly.h)
+// over real loopback TCP, exchanging byte-for-byte the protocol the
+// emulated cluster runs in virtual time — including the epoch-versioned
+// ClusterView delta/ack/pull choreography.
 //
-// Single-threaded: every socket and timer is driven by one TcpDriver poll
-// loop, so the harness behaves like an event-driven deployment compressed
-// into one process. Node "matching work" follows the same Definition-8
-// cost model as the emulation (service time is modeled, then actually
-// elapses on the wall clock before the reply is sent), which is what makes
-// the InProc-vs-TCP parity test able to demand identical query outcomes.
+// This harness is only the substrate: a TcpDriver with N reactor shards
+// (shard 0 driven by the caller, the rest on their own threads), one
+// TcpTransport listener per endpoint, and optionally a WorkerPool per node
+// whose lanes run real pps matching or the modeled Definition-8 service
+// time. ClusterAssembly builds and runs the components exactly as it does
+// in EmulatedCluster, marshaling node reads onto the owning shard. See
+// ARCHITECTURE.md for the assembly/substrate split and the threading
+// contract.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "cluster/control.h"
-#include "cluster/frontend.h"
-#include "cluster/node.h"
-#include "common/metrics.h"
-#include "core/membership.h"
-#include "core/tracer.h"
+#include "cluster/assembly.h"
+#include "core/worker_pool.h"
 #include "net/tcp_transport.h"
 
 namespace roar::cluster {
 
-struct TcpClusterConfig {
+struct TcpClusterConfig : AssemblyConfig {
+  TcpClusterConfig() : AssemblyConfig(/*dataset=*/100'000, /*p0=*/4) {}
+
   uint32_t nodes = 8;
   // Per-node relative speeds; padded with 1.0 up to `nodes`.
   std::vector<double> speeds;
-  uint64_t dataset_size = 100'000;
-  uint32_t p = 4;
-  // Front-end instances, all hosted on the control listener (they share
-  // the control process, as in the paper's deployment).
-  uint32_t frontends = 1;
-  FrontendParams frontend;  // p is overwritten from the field above
-  NodeParams node_proto;    // id/speed overwritten per node
-  uint64_t seed = 1;
-  uint32_t initial_balance_steps = 800;
   // Latency hint fed to the delay estimator (loopback RTT scale).
   double latency_hint_s = 100e-6;
-  // Laggard-resync cadence of the control plane.
-  double control_retransmit_s = 0.5;
-  // Dissemination-tree fanout and tree/sliced decision divisor (see
-  // ClusterConfig — same semantics over TCP).
-  uint32_t relay_fanout = 8;
-  uint32_t tree_divisor = 4;
 
   // --- execution engine --------------------------------------------------
   // Reactor shards in the TcpDriver. 1 = the original single-threaded
@@ -61,70 +46,60 @@ struct TcpClusterConfig {
   // Max sub-queries a node drains into the pool per wakeup.
   size_t exec_batch_max = 16;
   // Give every node a real pps corpus + query (one shared immutable
-  // MatchEngine) instead of the analytic service model.
+  // MatchEngine) instead of the analytic service model. enable_ingest
+  // implies it (ingestion mutates the real corpus).
   bool real_matching = false;
-  MatchEngineConfig engine;
-
-  // --- live ingestion ----------------------------------------------------
-  // Per-node IngestLog + versioned store and an IngestRouter on the
-  // control endpoint. Implies real_matching (ingestion mutates the real
-  // corpus, not the analytic model).
-  bool enable_ingest = false;
-  IngestConfig ingest;
-
-  // --- overload control ----------------------------------------------------
-  // Same contract spec as ClusterConfig::slo, resolved through the same
-  // core::resolve_slo rule so the two harnesses cannot drift: frontend
-  // admission + Spang-bounded executor queues (pooled nodes) and backlog
-  // bounds (inline nodes).
-  core::SloSpec slo;
 };
 
-class TcpCluster {
+// Every endpoint gets its own loopback listener: the control plane, the
+// front-ends and the ingest router share transports_[0] (one "control
+// process"), node i owns transports_[i + 1] on reactor shard i % shards.
+// Node state is touched only on the node's shard thread.
+class TcpSubstrate : public Substrate {
+ public:
+  explicit TcpSubstrate(const TcpClusterConfig& config);
+
+  net::TcpDriver& driver() { return driver_; }
+  uint16_t node_port(NodeId id) const {
+    return transports_.at(id + 1)->port();
+  }
+  uint32_t node_shard(NodeId id) const override {
+    return static_cast<uint32_t>(id % driver_.shards());
+  }
+
+ private:
+  net::Transport& control_transport() override { return *transports_[0]; }
+  net::Transport& node_transport(NodeId id) override;
+  void attach(NodeRuntime& node) override;
+  void on_shard(size_t shard,
+                const std::function<void()>& fn) const override;
+  void deliver_first_view(const std::function<bool()>& ready) override;
+
+ protected:
+  // Stops every thread that can touch a component: the shard loops first
+  // (joined), then the pools (drained and joined; in-flight tasks point
+  // into nodes). Their posted completions are never run.
+  void shutdown();
+  uint64_t pool_sum(uint64_t (core::WorkerPool::*get)() const) const;
+
+  net::TcpDriver driver_;
+  std::vector<std::unique_ptr<net::TcpTransport>> transports_;
+  std::vector<std::unique_ptr<core::WorkerPool>> pools_;
+
+ private:
+  double latency_hint_s_;
+  uint32_t node_workers_;
+  size_t exec_batch_max_;
+};
+
+// The substrate base comes first, so it is built before every component
+// and destroyed after them; ~TcpCluster stops its threads before any
+// component dies.
+class TcpCluster : public TcpSubstrate, public ClusterAssembly {
  public:
   explicit TcpCluster(TcpClusterConfig config);
   ~TcpCluster();
 
-  net::TcpDriver& driver() { return driver_; }
-  ControlPlane& control() { return *control_; }
-  Frontend& frontend() { return *frontends_.front(); }
-  Frontend& frontend(uint32_t i) { return *frontends_.at(i); }
-  uint32_t frontend_count() const {
-    return static_cast<uint32_t>(frontends_.size());
-  }
-  core::MembershipServer& membership() { return membership_; }
-
-  size_t node_count() const { return nodes_.size(); }
-  // Direct node access is only race-free with reactor_shards == 1 (or
-  // after the driver's shard threads stopped); sharded harnesses go
-  // through the marshaled accessors below or driver().run_on.
-  NodeRuntime& node(NodeId id) { return *nodes_.at(id); }
-  uint16_t node_port(NodeId id) const;
-  uint32_t node_shard(NodeId id) const { return node_shards_.at(id); }
-
-  // Publishes the current membership + reconfiguration state over the
-  // sockets (no-op when nothing changed); laggards converge through the
-  // control plane's retransmit tick.
-  void publish_view();
-
-  // Crash-stops a node: its endpoint unbinds, so frames addressed to it
-  // vanish; the front-ends must discover the failure by timeout.
-  void kill_node(NodeId id);
-  // Restarts a crashed node in place (it kept its data and its ingest
-  // log); it pulls the current view — resuming any §4.5 duty it lost —
-  // and its SyncSessions catch its index up with everything it missed.
-  void revive_node(NodeId id);
-
-  // Reconfiguration (§4.5) over the wire: view epochs out, completions
-  // back, storage levels gated exactly as in the emulation.
-  void change_p(uint32_t p_new);
-  uint32_t safe_p() const { return control_->safe_p(); }
-  uint32_t target_p() const { return control_->target_p(); }
-
-  // Non-blocking classed submission on the next ready front-end; the
-  // callback fires from the poll loop (run_for / run_query drive it).
-  // The workload engine's entry point.
-  uint64_t submit_query(const QueryRequest& req, Frontend::QueryCallback cb);
   // Submits one query (front-ends round-robin) and polls sockets +
   // wall-clock timers until it completes (or `timeout_s` passes — the
   // outcome then has id == 0).
@@ -136,77 +111,31 @@ class TcpCluster {
   // Polls for `duration_s` wall seconds (timers keep firing).
   void run_for(double duration_s);
 
-  // Aggregate traffic accounting across every endpoint's transport.
-  uint64_t messages_sent() const;
-  uint64_t bytes_sent() const;
-  uint64_t messages_dropped() const;
-
-  // The shared real-matching engine, or nullptr in modeled mode.
-  const MatchEngine* engine() const { return engine_.get(); }
-
-  // The ingest router, or nullptr when enable_ingest is unset.
-  IngestRouter* ingest() { return ingest_router_.get(); }
-  const IngestRouter* ingest() const { return ingest_router_.get(); }
-  // Current replica views / convergence verdict (see cluster/ingest.h).
-  std::vector<IngestReplicaView> ingest_replicas() const;
-  bool ingest_converged() const;
-  // Polls sockets + timers until converged or timeout; returns verdict.
+  // Polls sockets + timers until ingest_converged() or timeout; returns
+  // the verdict.
   bool run_until_ingest_converged(double timeout_s = 20.0);
   // Execution-engine diagnostics summed over nodes / pools.
-  uint64_t batches_drained() const;
-  uint64_t batched_subqueries() const;
-  uint64_t pool_tasks_executed() const;
-  uint64_t pool_tasks_stolen() const;
+  uint64_t batches_drained() const {
+    return static_cast<uint64_t>(fold_nodes(&NodeRuntime::batches_drained));
+  }
+  uint64_t batched_subqueries() const {
+    return static_cast<uint64_t>(
+        fold_nodes(&NodeRuntime::batched_subqueries));
+  }
+  uint64_t pool_tasks_executed() const {
+    return pool_sum(&core::WorkerPool::executed);
+  }
+  uint64_t pool_tasks_stolen() const {
+    return pool_sum(&core::WorkerPool::stolen);
+  }
   // Backpressure diagnostics: submissions that overflowed a worker's
   // express ring (fell back to the locked deque), and express-lane hits.
-  uint64_t pool_ring_full_events() const;
-  uint64_t pool_express_submits() const;
-
-  // --- observability ------------------------------------------------------
-  // The unified metrics plane. snapshot()/to_text() marshal per-node
-  // counter reads onto the owning shard threads, so sampling while the
-  // cluster runs is race-free.
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-  // Per-shard trace rings: front-ends, control and the ingest router
-  // write ring 0 (the caller-driven shard); node i writes its reactor
-  // shard's ring. Ring reads marshal through trace_events().
-  core::Tracer& tracer() { return tracer_; }
-  const core::Tracer& tracer() const { return tracer_; }
-  // Merged, time-sorted trace events; each shard's ring is read on its
-  // own loop thread (safe while the cluster runs).
-  std::vector<core::TraceEvent> trace_events() const;
-
- private:
-  void register_gauges();
-
-  TcpClusterConfig config_;
-  net::TcpDriver driver_;
-  // Observability plane: declared right after the driver (destroyed after
-  // every component that records into it; the driver's shard threads are
-  // joined by ~TcpCluster before any of this unwinds).
-  MetricsRegistry metrics_;
-  core::Tracer tracer_;
-  // transports_[0] hosts the control plane + all front-ends + the update
-  // server (one "control process"); transports_[i + 1] hosts node i.
-  std::vector<std::unique_ptr<net::TcpTransport>> transports_;
-  core::MembershipServer membership_;
-  std::unique_ptr<ControlPlane> control_;
-  std::vector<std::unique_ptr<Frontend>> frontends_;
-  std::shared_ptr<const MatchEngine> engine_;
-  std::unique_ptr<IngestRouter> ingest_router_;
-  std::vector<std::unique_ptr<NodeRuntime>> nodes_;
-  // Declared after nodes_ so pools are destroyed (drained and joined)
-  // first: in-flight tasks capture raw node pointers. Completions they
-  // posted may outlive the nodes unexecuted — the driver (destroyed last)
-  // drops them without running.
-  std::vector<std::unique_ptr<core::WorkerPool>> pools_;
-  std::vector<uint32_t> node_shards_;  // node id -> reactor shard
-  uint32_t next_frontend_ = 0;  // round-robin submit cursor
-
-  // Runs `fn` on node `id`'s shard thread (inline when that shard is the
-  // caller-driven one), so cross-thread reads of node state are safe.
-  void on_node_shard(NodeId id, const std::function<void()>& fn) const;
+  uint64_t pool_ring_full_events() const {
+    return pool_sum(&core::WorkerPool::ring_full_events);
+  }
+  uint64_t pool_express_submits() const {
+    return pool_sum(&core::WorkerPool::express_submits);
+  }
 };
 
 }  // namespace roar::cluster

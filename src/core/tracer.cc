@@ -75,11 +75,13 @@ std::vector<TraceEvent> Tracer::events(size_t shard) const {
   return out;
 }
 
-std::vector<TraceEvent> Tracer::collect() const {
+std::vector<TraceEvent> Tracer::collect(const RingReader& on_shard) const {
   std::vector<TraceEvent> all;
   for (size_t s = 0; s < rings_.size(); ++s) {
-    auto evs = events(s);
-    all.insert(all.end(), evs.begin(), evs.end());
+    on_shard(s, [&] {
+      auto evs = events(s);
+      all.insert(all.end(), evs.begin(), evs.end());
+    });
   }
   std::sort(all.begin(), all.end(),
             [](const TraceEvent& a, const TraceEvent& b) {

@@ -125,9 +125,11 @@ class Tracer {
   uint64_t events_recorded() const;
   // One ring's retained events, oldest first. Owner thread or quiescence.
   std::vector<TraceEvent> events(size_t shard) const;
-  // All rings merged and sorted by (at, trace_id, stage). Quiescence
-  // only — TcpCluster exposes a marshaled wrapper instead.
-  std::vector<TraceEvent> collect() const;
+  // All rings merged and sorted by (at, trace_id, stage). `on_shard(s,
+  // read)` must run ring s's read on the ring's owning thread.
+  using RingReader =
+      std::function<void(size_t shard, const std::function<void()>& read)>;
+  std::vector<TraceEvent> collect(const RingReader& on_shard) const;
 
   // --- flight recorder --------------------------------------------------
   struct FlightDump {

@@ -209,5 +209,31 @@ TEST(TcpClusterTest, PReconfigurationOverTheWire) {
   EXPECT_EQ(out.parts_sent, 4u);
 }
 
+// Both harnesses register one metrics table; only the TCP substrate adds
+// gauges of its own (driver.* and pool.*). Ingestion is on so the ingest.*
+// series are compared too.
+TEST(TcpClusterTest, HarnessesExportTheSameMetricNames) {
+  auto with_ingest = [](auto cfg) {
+    cfg.enable_ingest = true;
+    cfg.engine.corpus_items = 1'500;
+    cfg.dataset_size = cfg.engine.corpus_items;
+    return cfg;
+  };
+  EmulatedCluster emulated(with_ingest(inproc_config()));
+  TcpCluster tcp(with_ingest(tcp_config()));
+
+  std::vector<std::string> emulated_names;
+  for (const auto& [name, value] : emulated.metrics().snapshot().values) {
+    emulated_names.push_back(name);
+  }
+  std::vector<std::string> tcp_names;
+  for (const auto& [name, value] : tcp.metrics().snapshot().values) {
+    if (name.starts_with("driver.") || name.starts_with("pool.")) continue;
+    tcp_names.push_back(name);
+  }
+  EXPECT_EQ(tcp_names, emulated_names);
+  EXPECT_GE(tcp.metrics().snapshot().get("ingest.ops_applied", -1), 0);
+}
+
 }  // namespace
 }  // namespace roar::cluster
