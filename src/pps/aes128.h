@@ -3,9 +3,11 @@
 // PPS uses AES-128 as its pseudorandom permutation (§5.6: "We used 128-bit
 // AES for the symmetric encryption scheme and as a pseudorandom
 // permutation"). The Dictionary scheme permutes word indexes with it, and
-// the corpus tools use it in CTR mode for payload encryption. This is a
-// portable table-free S-box implementation tuned for clarity; throughput is
-// secondary since PPS matching is SHA-1 bound.
+// the corpus tools use it in CTR mode for payload encryption, and it is the
+// Bloom scheme's per-document codeword PRF, so server-side PPS matching is
+// AES bound. encrypt_blocks runs that matching kernel on AES-NI when the
+// CPU has it; the portable table-free S-box implementation, tuned for
+// clarity, is the fallback and the test reference.
 #pragma once
 
 #include <array>

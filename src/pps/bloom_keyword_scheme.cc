@@ -20,7 +20,7 @@ BloomKeywordScheme::BloomKeywordScheme(const SecretKey& key,
     : params_(params) {
   keys_.reserve(params_.hash_count);
   for (uint32_t i = 0; i < params_.hash_count; ++i) {
-    keys_.push_back(key.derive("bloom:" + std::to_string(i)));
+    keys_.emplace_back(key.derive("bloom:" + std::to_string(i)));
   }
 }
 
@@ -29,7 +29,7 @@ BloomKeywordScheme::Trapdoor BloomKeywordScheme::encrypt_query(
   Trapdoor t;
   t.parts.reserve(keys_.size());
   for (const auto& k : keys_) {
-    t.parts.push_back(hmac_sha1(as_span(k), word));
+    t.parts.push_back(k.mac(word));
   }
   return t;
 }

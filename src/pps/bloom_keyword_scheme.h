@@ -92,7 +92,7 @@ class BloomKeywordScheme {
   void set_word(EncryptedMetadata& m, const Trapdoor& t) const;
 
   BloomParams params_;
-  std::vector<Sha1Digest> keys_;  // k_1 … k_r
+  std::vector<HmacSha1> keys_;  // F_{k_1} … F_{k_r}
 };
 
 }  // namespace roar::pps

@@ -50,7 +50,7 @@ DictionaryScheme::EncryptedQuery DictionaryScheme::encrypt_query(
   }
   EncryptedQuery q;
   q.index = shuffled_index(it->second);
-  q.unmask = hmac_sha1(as_span(prf_k2_), std::to_string(q.index));
+  q.unmask = prf_k2_.mac(std::to_string(q.index));
   return q;
 }
 
@@ -68,7 +68,7 @@ DictionaryScheme::EncryptedMetadata DictionaryScheme::encrypt_metadata(
   }
   m.blinded.assign(plain.size(), 0);
   for (uint32_t i = 0; i < n; ++i) {
-    Sha1Digest ri = hmac_sha1(as_span(prf_k2_), std::to_string(i));
+    Sha1Digest ri = prf_k2_.mac(std::to_string(i));
     bool bit = (plain[i / 64] >> (i % 64)) & 1;
     bool masked = bit ^ mask_bit(ri, m.rnd);
     if (masked) m.blinded[i / 64] |= (1ull << (i % 64));

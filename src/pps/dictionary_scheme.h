@@ -56,7 +56,7 @@ class DictionaryScheme {
   std::vector<std::string> dictionary_;
   std::unordered_map<std::string, uint32_t> word_to_index_;
   Aes128 prp_;        // E_{K1}
-  Sha1Digest prf_k2_; // K2
+  HmacSha1 prf_k2_;   // F_{K2}
 };
 
 }  // namespace roar::pps

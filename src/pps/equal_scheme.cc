@@ -6,14 +6,14 @@ EqualScheme::EqualScheme(const SecretKey& key) : key_(key.derive("equal")) {}
 
 EqualScheme::EncryptedQuery EqualScheme::encrypt_query(
     std::string_view value) const {
-  return EncryptedQuery{hmac_sha1(as_span(key_), value)};
+  return EncryptedQuery{key_.mac(value)};
 }
 
 EqualScheme::EncryptedMetadata EqualScheme::encrypt_metadata(
     std::string_view value, Rng& rng) const {
   EncryptedMetadata out;
   out.rnd = make_nonce(rng);
-  Sha1Digest hidden = hmac_sha1(as_span(key_), value);
+  Sha1Digest hidden = key_.mac(value);
   out.tag = hmac_sha1(as_span(hidden), as_span(out.rnd));
   return out;
 }

@@ -35,7 +35,7 @@ class EqualScheme {
   static bool cover(const EncryptedQuery& a, const EncryptedQuery& b);
 
  private:
-  Sha1Digest key_;  // derived sub-key for this scheme
+  HmacSha1 key_;  // F_K under the derived sub-key for this scheme
 };
 
 }  // namespace roar::pps

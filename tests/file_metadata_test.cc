@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "pps/corpus.h"
+
 namespace roar::pps {
 namespace {
 
@@ -107,6 +111,57 @@ TEST_F(FileMetadataTest, IdsAreUniformlyDistributed) {
     buckets[m.id.raw() >> 62]++;
   }
   for (int b : buckets) EXPECT_NEAR(b, 500, 120);
+}
+
+// SHA-1 over encrypt_corpus output: each item's ring id, nonce and filter
+// words, little-endian. Any change to the PRFs, the word document or the
+// RNG draw order re-keys every stored corpus and shows up here.
+std::string corpus_digest(MetadataEncoderParams params, size_t files) {
+  SecretKey key = SecretKey::from_seed(2024);
+  MetadataEncoder enc(key, params);
+  CorpusGenerator gen(CorpusParams{}, 7);
+  auto corpus = gen.generate(files);
+  Rng rng(7);
+  Sha1 h;
+  auto put_u64 = [&h](uint64_t v) {
+    uint8_t le[8];
+    for (int i = 0; i < 8; ++i) le[i] = static_cast<uint8_t>(v >> (i * 8));
+    h.update(std::span<const uint8_t>(le, 8));
+  };
+  for (const auto& m : encrypt_corpus(enc, corpus, rng)) {
+    put_u64(m.id.raw());
+    h.update(std::span<const uint8_t>(m.enc.rnd));
+    for (uint64_t w : m.enc.bits) put_u64(w);
+  }
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : h.finish()) {
+    out.push_back(kHex[b >> 4]);
+    out.push_back(kHex[b & 0xF]);
+  }
+  return out;
+}
+
+// The expected digests come from the portable SHA-1 with one-off HMACs;
+// both compression paths must reproduce them byte for byte.
+TEST(CorpusEncryptionTest, GoldenDigestKeywordOnly) {
+  for (bool scalar : {false, true}) {
+    Sha1::set_force_scalar(scalar);
+    EXPECT_EQ(corpus_digest(MetadataEncoderParams::keyword_only(), 48),
+              "0a08fa78bbea398a80411ff66ab0f7f49281748e")
+        << (scalar ? "portable" : "default") << " SHA-1 path";
+  }
+  Sha1::set_force_scalar(false);
+}
+
+TEST(CorpusEncryptionTest, GoldenDigestDefaults) {
+  for (bool scalar : {false, true}) {
+    Sha1::set_force_scalar(scalar);
+    EXPECT_EQ(corpus_digest(MetadataEncoderParams::defaults(), 16),
+              "3d8978e43c6049d46ad0bd740c379e6f31cc1922")
+        << (scalar ? "portable" : "default") << " SHA-1 path";
+  }
+  Sha1::set_force_scalar(false);
 }
 
 }  // namespace
