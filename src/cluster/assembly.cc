@@ -1,5 +1,7 @@
 #include "cluster/assembly.h"
 
+#include <chrono>
+
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -105,7 +107,11 @@ void ClusterAssembly::assemble(const std::vector<sim::ServerClass>& classes,
   // scans only the slice a sub-query's window selects, so sharing the
   // corpus changes nothing observable and saves N-1 encryptions).
   if (config_.enable_ingest || wiring.real_matching) {
+    auto t0 = std::chrono::steady_clock::now();
     engine_ = std::make_shared<const MatchEngine>(config_.engine);
+    engine_build_s_ = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
   }
   if (config_.enable_ingest) {
     ingest_router_ = std::make_unique<IngestRouter>(
@@ -201,6 +207,9 @@ void ClusterAssembly::register_gauges() {
   nodes("control.interests_registered", &NodeRuntime::interests_sent);
   of("trace.events", &tracer_, &core::Tracer::events_recorded);
   of("trace.anomalies", &tracer_, &core::Tracer::anomalies_seen);
+  if (engine_) {
+    metrics_.gauge_fn("engine.build_s", [s = engine_build_s_] { return s; });
+  }
   if (const IngestRouter* r = ingest_router_.get()) {
     of("ingest.ops_accepted", r, &IngestRouter::ops_accepted);
     of("ingest.updates_sent", r, &IngestRouter::updates_sent);

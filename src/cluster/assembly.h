@@ -255,6 +255,7 @@ class ClusterAssembly {
 
   bool modeled_timing_ = false;
   double rated_capacity_qps_ = 0.0;
+  double engine_build_s_ = 0.0;  // wall time of the MatchEngine build
   // Distinct transports the components were wired to (traffic totals).
   std::vector<net::Transport*> endpoints_;
   uint32_t next_frontend_ = 0;  // round-robin submit cursor

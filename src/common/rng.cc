@@ -14,10 +14,6 @@ uint64_t splitmix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-constexpr uint64_t rotl(uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -35,18 +31,6 @@ uint64_t subseed(uint64_t base, uint64_t salt) {
   uint64_t x = base ^ (salt * 0xD1B54A32D192ED03ull);
   splitmix64(x);
   return splitmix64(x);
-}
-
-uint64_t Rng::next_u64() {
-  uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 uint64_t Rng::next_below(uint64_t bound) {

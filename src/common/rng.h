@@ -19,7 +19,17 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-  uint64_t next_u64();
+  uint64_t next_u64() {
+    uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, bound). bound must be > 0. Debiased via rejection.
   uint64_t next_below(uint64_t bound);
@@ -52,6 +62,10 @@ class Rng {
   Rng fork();
 
  private:
+  static constexpr uint64_t rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
 };
 

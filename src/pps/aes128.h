@@ -6,8 +6,10 @@
 // the corpus tools use it in CTR mode for payload encryption, and it is the
 // Bloom scheme's per-document codeword PRF, so server-side PPS matching is
 // AES bound. encrypt_blocks runs that matching kernel on AES-NI when the
-// CPU has it; the portable table-free S-box implementation, tuned for
-// clarity, is the fallback and the test reference.
+// CPU has it, encrypt_keyed runs the corpus encryptor's one-block-per-key
+// kernel, and key schedules are expanded with aesenclast; the
+// portable table-free S-box implementation, tuned for clarity, is the
+// fallback and the test reference.
 #pragma once
 
 #include <array>
@@ -22,7 +24,12 @@ using AesBlock = std::array<uint8_t, 16>;
 
 class Aes128 {
  public:
+  using RoundKeys = std::array<AesBlock, 11>;
+
   explicit Aes128(const AesKey& key);
+
+  // The expanded key schedule (exposed for tests).
+  const RoundKeys& round_keys() const { return round_keys_; }
 
   AesBlock encrypt_block(const AesBlock& in) const;
   AesBlock decrypt_block(const AesBlock& in) const;
@@ -33,6 +40,15 @@ class Aes128 {
   // the engine behind the batched Bloom-codeword matcher. Byte-identical
   // to n calls of encrypt_block on every path. in == out is allowed.
   void encrypt_blocks(const AesBlock* in, AesBlock* out, size_t n) const;
+
+  // Encrypts block i under its own key: out[i] = Aes128(keys[i])
+  // .encrypt_block(in[i]) for i < n. On x86 with AES-NI each key schedule
+  // is expanded on the fly, round by round, 8 blocks interleaved, so no
+  // schedule is ever stored; this is the Bloom codeword kernel of corpus
+  // encryption, where every (word, probe) pair has its own key. in == out
+  // is allowed.
+  static void encrypt_keyed(const AesKey* keys, const AesBlock* in,
+                            AesBlock* out, size_t n);
 
   // True when the hardware AES path is compiled in, supported by this
   // CPU, and not disabled by set_force_scalar.
@@ -58,7 +74,7 @@ class Aes128 {
  private:
   AesBlock encrypt_block_scalar(const AesBlock& in) const;
 
-  std::array<std::array<uint8_t, 16>, 11> round_keys_;
+  RoundKeys round_keys_;
 };
 
 }  // namespace roar::pps

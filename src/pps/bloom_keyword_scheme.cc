@@ -1,6 +1,7 @@
 #include "pps/bloom_keyword_scheme.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -58,6 +59,28 @@ uint32_t block_to_u32(const AesBlock& y) {
   return v;
 }
 
+// Takes `count` accepted rng.next_below(bound) values through the same
+// raw draws next_below makes, and with kSet ORs each into `bits` (a
+// filter of `bound` bits). Every draw, rejected or not, sets its bit in a
+// buffer spanning the whole masked range, so the loop has no
+// data-dependent branch or address; the rejected draws all land at or
+// past `bound` and are cut off when the buffer is merged.
+template <bool kSet>
+void padding_draws(Rng& rng, uint64_t count, uint32_t bound,
+                   std::vector<uint64_t>* bits) {
+  const uint64_t mask = std::bit_ceil(uint64_t{bound}) - 1;
+  std::vector<uint64_t> buf(kSet ? mask / 64 + 1 : 0);
+  for (uint64_t accepted = 0; accepted < count;) {
+    uint64_t v = rng.next_u64() & mask;
+    if constexpr (kSet) buf[v / 64] |= 1ull << (v % 64);
+    accepted += v < bound;
+  }
+  if constexpr (kSet) {
+    if (bound % 64 != 0) buf[bound / 64] &= (1ull << (bound % 64)) - 1;
+    for (size_t w = 0; w < bits->size(); ++w) (*bits)[w] |= buf[w];
+  }
+}
+
 }  // namespace
 
 BloomKeywordScheme::PreparedTrapdoor BloomKeywordScheme::prepare(
@@ -81,35 +104,54 @@ uint32_t BloomKeywordScheme::codeword_position(const Nonce& rnd,
   return block_to_u32(y) % params_.filter_bits();
 }
 
-void BloomKeywordScheme::set_word(EncryptedMetadata& m,
-                                  const Trapdoor& t) const {
-  for (uint32_t i = 0; i < t.parts.size(); ++i) {
-    Aes128 cipher(key_from_part(t.parts[i]));
-    uint32_t pos = codeword_position(m.rnd, cipher, i);
+void BloomKeywordScheme::codeword_keys(std::string_view word,
+                                       AesKey* out) const {
+  for (const auto& k : keys_) *out++ = key_from_part(k.mac(word));
+}
+
+BloomKeywordScheme::Draws BloomKeywordScheme::draw(size_t word_count,
+                                                   Rng& rng) const {
+  Draws d;
+  d.rnd = make_nonce(rng);
+  d.padding = rng;
+  if (word_count < params_.expected_words) {
+    d.padding_bits =
+        (params_.expected_words - word_count) * params_.hash_count;
+  }
+  padding_draws<false>(rng, d.padding_bits, params_.filter_bits(), nullptr);
+  return d;
+}
+
+BloomKeywordScheme::EncryptedMetadata BloomKeywordScheme::fill(
+    const Draws& d, std::span<const AesKey> keys) const {
+  const uint32_t r = params_.hash_count;
+  const uint32_t filter_bits = params_.filter_bits();
+  EncryptedMetadata m;
+  m.rnd = d.rnd;
+  m.bits.assign((filter_bits + 63) / 64, 0);
+  m.word_count = static_cast<uint32_t>(keys.size() / r);
+  Rng padding = d.padding;
+  padding_draws<true>(padding, d.padding_bits, filter_bits, &m.bits);
+  std::vector<AesBlock> y(keys.size());
+  for (size_t k = 0; k < y.size(); ++k) {
+    y[k] = codeword_block(m.rnd, static_cast<uint32_t>(k % r));
+  }
+  Aes128::encrypt_keyed(keys.data(), y.data(), y.data(), y.size());
+  for (const auto& blk : y) {
+    uint32_t pos = block_to_u32(blk) % filter_bits;
     m.bits[pos / 64] |= (1ull << (pos % 64));
   }
+  return m;
 }
 
 BloomKeywordScheme::EncryptedMetadata BloomKeywordScheme::encrypt_metadata(
     std::span<const std::string> words, Rng& rng) const {
-  EncryptedMetadata m;
-  m.rnd = make_nonce(rng);
-  m.bits.assign((params_.filter_bits() + 63) / 64, 0);
-  m.word_count = static_cast<uint32_t>(words.size());
-  for (const auto& w : words) {
-    set_word(m, encrypt_query(w));
+  Draws d = draw(words.size(), rng);
+  std::vector<AesKey> keys(words.size() * params_.hash_count);
+  for (size_t w = 0; w < words.size(); ++w) {
+    codeword_keys(words[w], &keys[w * params_.hash_count]);
   }
-  // Pad: set random bits as if `expected_words` words were present, so the
-  // popcount does not reveal the document's true word count.
-  if (words.size() < params_.expected_words) {
-    uint64_t missing =
-        (params_.expected_words - words.size()) * params_.hash_count;
-    for (uint64_t i = 0; i < missing; ++i) {
-      uint64_t pos = rng.next_below(params_.filter_bits());
-      m.bits[pos / 64] |= (1ull << (pos % 64));
-    }
-  }
-  return m;
+  return fill(d, keys);
 }
 
 bool BloomKeywordScheme::match(const EncryptedMetadata& m, const Trapdoor& q,

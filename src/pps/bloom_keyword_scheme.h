@@ -16,6 +16,9 @@
 // query, and match_batch streams the per-document blocks through the
 // multi-block AES kernel (AES-NI interleaved when available) with
 // survivor compaction reproducing the probe-by-probe early exit.
+// Encryption runs the same PRF with one key per codeword: fill() sends
+// every (word, probe) block of a document through Aes128::encrypt_keyed,
+// which expands each key schedule on the fly.
 //
 // Paper parameters: r = 17 hash functions and ~25 bits per element give a
 // 1-in-100,000 false-positive rate; 50 keywords → ~130 B filters.
@@ -63,10 +66,30 @@ class BloomKeywordScheme {
 
   Trapdoor encrypt_query(std::string_view word) const;
 
-  // Encrypts a document given its word list. If the document has fewer
-  // words than `expected_words`, random bits are set to mask the true
-  // count (§5.5.2: "add random bits to the BF to simulate the proper
-  // number of words").
+  // The AES keys of `word`'s codeword PRFs: the first 16 bytes of each
+  // trapdoor part. Writes hash_count keys to `out`.
+  void codeword_keys(std::string_view word, AesKey* out) const;
+
+  // The randomness one document's encryption consumes, in stream order:
+  // its nonce, then the random bits that pad it to `expected_words`
+  // words (§5.5.2: "add random bits to the BF to simulate the proper
+  // number of words"). `padding` is the stream at the first padding
+  // draw, so fill() can replay those draws later, on any thread.
+  struct Draws {
+    Nonce rnd{};
+    Rng padding;
+    uint64_t padding_bits = 0;  // accepted padding draws
+  };
+  // Draws the nonce of a document with `word_count` words and steps `rng`
+  // past its padding draws, setting no bits.
+  Draws draw(size_t word_count, Rng& rng) const;
+  // Builds the filter from `d`: replays the padding, then sets the
+  // codeword bit of every (word, probe) pair through one
+  // Aes128::encrypt_keyed call. `keys` holds codeword_keys() of each word
+  // in turn, hash_count keys per word.
+  EncryptedMetadata fill(const Draws& d, std::span<const AesKey> keys) const;
+
+  // draw() + codeword_keys() + fill() for one document.
   EncryptedMetadata encrypt_metadata(std::span<const std::string> words,
                                      Rng& rng) const;
 
@@ -89,7 +112,6 @@ class BloomKeywordScheme {
  private:
   uint32_t codeword_position(const Nonce& rnd, const Aes128& cipher,
                              uint32_t i) const;
-  void set_word(EncryptedMetadata& m, const Trapdoor& t) const;
 
   BloomParams params_;
   std::vector<HmacSha1> keys_;  // F_{k_1} … F_{k_r}

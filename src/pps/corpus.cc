@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <thread>
+#include <unordered_map>
 #include <unordered_set>
 
 namespace roar::pps {
@@ -73,14 +76,70 @@ std::vector<FileInfo> CorpusGenerator::generate(size_t count) {
   return out;
 }
 
+namespace {
+
+// Runs fn(begin, end) over `threads` contiguous slices of [0, n): the
+// first on the calling thread, the rest on transient workers, joined
+// (also on unwind) before returning.
+template <typename Fn>
+void split(size_t n, unsigned threads, const Fn& fn) {
+  std::vector<std::jthread> pool;
+  for (unsigned t = 1; t < threads; ++t) {
+    pool.emplace_back(fn, n * t / threads, n * (t + 1) / threads);
+  }
+  fn(size_t{0}, n / threads);
+}
+
+}  // namespace
+
 std::vector<EncryptedFileMetadata> encrypt_corpus(
     const MetadataEncoder& encoder, std::span<const FileInfo> files,
-    Rng& rng) {
-  std::vector<EncryptedFileMetadata> out;
-  out.reserve(files.size());
-  for (const auto& f : files) {
-    out.push_back(encoder.encrypt(f, rng));
+    Rng& rng, unsigned workers) {
+  constexpr size_t kMinFilesPerThread = 256;
+  const BloomKeywordScheme& bloom = encoder.backend();
+  const size_t r = bloom.params().hash_count;
+  const size_t n = files.size();
+  if (workers == 0) workers = std::thread::hardware_concurrency();
+  const auto threads = static_cast<unsigned>(
+      std::clamp<size_t>(n / kMinFilesPerThread, 1, std::max(workers, 1u)));
+
+  // Pass 1: every draw in stream order; words become table rows.
+  std::vector<BloomKeywordScheme::Draws> draws(n);
+  std::vector<EncryptedFileMetadata> out(n);
+  std::unordered_map<std::string, uint32_t> row_of;  // nodes never move
+  std::vector<const std::string*> distinct;
+  std::vector<std::vector<uint32_t>> rows(n);  // each file's words' rows
+  for (size_t i = 0; i < n; ++i) {
+    auto words = encoder.words_for(files[i]);
+    out[i].id = rng.next_ring_id();
+    draws[i] = bloom.draw(words.size(), rng);
+    for (auto& w : words) {
+      auto [it, fresh] = row_of.try_emplace(
+          std::move(w), static_cast<uint32_t>(distinct.size()));
+      if (fresh) distinct.push_back(&it->first);
+      rows[i].push_back(it->second);
+    }
   }
+
+  // Pass 2: the trapdoor table, r codeword keys per distinct word.
+  std::vector<AesKey> table(distinct.size() * r);
+  split(distinct.size(), threads, [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      bloom.codeword_keys(*distinct[j], &table[j * r]);
+    }
+  });
+
+  // Pass 3: each filter from its draws and its words' table rows.
+  split(n, threads, [&](size_t begin, size_t end) {
+    std::vector<AesKey> keys;
+    for (size_t i = begin; i < end; ++i) {
+      keys.clear();
+      for (uint32_t row : rows[i]) {
+        keys.insert(keys.end(), &table[row * r], &table[row * r] + r);
+      }
+      out[i].enc = bloom.fill(draws[i], keys);
+    }
+  });
   return out;
 }
 

@@ -51,9 +51,19 @@ class CorpusGenerator {
   uint64_t next_file_index_ = 0;
 };
 
-// Encrypts a corpus under `encoder`, assigning uniform ring ids.
+// Encrypts a corpus under `encoder`, assigning uniform ring ids. The
+// output, and where `rng` is left, are those of calling encoder.encrypt()
+// on each file in turn, but the work runs in three passes:
+//   1. walk the stream (sequential): each file's words, ring id, nonce and
+//      padding draws, counted but not yet set;
+//   2. trapdoor table (parallel): the codeword keys of each distinct word,
+//      one HMAC per word and hash function for the whole corpus;
+//   3. fill (parallel): each filter's padding, replayed from its stream
+//      snapshot, and all its codewords in one multi-key AES call.
+// `workers` caps the threads (0: one per core); each thread takes at least
+// 256 files, so small corpora stay on the calling thread.
 std::vector<EncryptedFileMetadata> encrypt_corpus(
     const MetadataEncoder& encoder, std::span<const FileInfo> files,
-    Rng& rng);
+    Rng& rng, unsigned workers = 0);
 
 }  // namespace roar::pps

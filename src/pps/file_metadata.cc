@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
+
+#include "pps/corpus.h"
 
 namespace roar::pps {
 namespace {
@@ -92,11 +95,7 @@ std::vector<std::string> MetadataEncoder::words_for(
 
 EncryptedFileMetadata MetadataEncoder::encrypt(const FileInfo& info,
                                                Rng& rng) const {
-  EncryptedFileMetadata out;
-  out.id = rng.next_ring_id();
-  auto words = words_for(info);
-  out.enc = keyword_.encrypt_metadata(words, rng);
-  return out;
+  return std::move(encrypt_corpus(*this, {&info, 1}, rng, 1).front());
 }
 
 BloomKeywordScheme::Trapdoor MetadataEncoder::keyword_query(

@@ -4,7 +4,8 @@
 // function throughout; we match that choice. Server-side matching does not
 // touch it (the Bloom codeword PRF is AES, see bloom_keyword_scheme.h):
 // SHA-1 bounds only the client side, i.e. trapdoor building and metadata
-// encryption, where every keyword costs one HMAC per Bloom hash function.
+// encryption, where every distinct keyword, once per corpus, costs one HMAC
+// per Bloom hash function.
 // On x86 with the SHA extensions the compression function runs on SHA-NI,
 // picked at runtime by CPUID; the portable implementation is the fallback
 // and the test reference. SHA-1 is cryptographically broken for collision

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "common/rng.h"
+
 namespace roar::pps {
 namespace {
 
@@ -135,6 +137,87 @@ TEST(Aes128Test, HardwareAndScalarPathsAgree) {
   aes.encrypt_blocks(in.data(), scalar.data(), in.size());
   Aes128::set_force_scalar(false);
   EXPECT_EQ(hw, scalar) << "AES-NI and portable paths must be byte-identical";
+}
+
+AesBlock random_block(Rng& rng) {
+  AesBlock b;
+  for (auto& byte : b) byte = static_cast<uint8_t>(rng.next_u64());
+  return b;
+}
+
+// FIPS 197 Appendix A.1: the expanded key w[0..43] of 2b7e1516…, as round
+// keys of four big-endian words each.
+TEST(Aes128Test, KeyScheduleHardwareMatchesScalar) {
+  if (!Aes128::accelerated()) {
+    GTEST_SKIP() << "no AES-NI on this machine; scalar path is the only one";
+  }
+  constexpr uint32_t kW[44] = {
+      0x2b7e1516, 0x28aed2a6, 0xabf71588, 0x09cf4f3c, 0xa0fafe17, 0x88542cb1,
+      0x23a33939, 0x2a6c7605, 0xf2c295f2, 0x7a96b943, 0x5935807a, 0x7359f67f,
+      0x3d80477d, 0x4716fe3e, 0x1e237e44, 0x6d7a883b, 0xef44a541, 0xa8525b7f,
+      0xb671253b, 0xdb0bad00, 0xd4d1c6f8, 0x7c839d87, 0xcaf2b8bc, 0x11f915bc,
+      0x6d88a37a, 0x110b3efd, 0xdbf98641, 0xca0093fd, 0x4e54f70e, 0x5f5fc9f3,
+      0x84a64fb2, 0x4ea6dc4f, 0xead27321, 0xb58dbad2, 0x312bf560, 0x7f8d292f,
+      0xac7766f3, 0x19fadc21, 0x28d12941, 0x575c006e, 0xd014f9a8, 0xc9ee2589,
+      0xe13f0cc8, 0xb6630ca6};
+  Aes128::RoundKeys fips;
+  for (int w = 0; w < 44; ++w) {
+    for (int b = 0; b < 4; ++b) {
+      fips[w / 4][(w % 4) * 4 + b] = static_cast<uint8_t>(kW[w] >> (24 - 8 * b));
+    }
+  }
+  const AesKey fips_key = key_from({0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2,
+                                    0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+                                    0x4f, 0x3c});
+  Rng rng(197);
+  std::vector<AesKey> keys(1000);
+  for (auto& k : keys) k = random_block(rng);
+  std::vector<Aes128::RoundKeys> hw;
+  for (bool scalar : {false, true}) {
+    Aes128::set_force_scalar(scalar);
+    EXPECT_EQ(Aes128(fips_key).round_keys(), fips)
+        << (scalar ? "portable" : "AES-NI") << " key expansion";
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (!scalar) {
+        hw.push_back(Aes128(keys[i]).round_keys());
+      } else {
+        ASSERT_EQ(Aes128(keys[i]).round_keys(), hw[i]) << "key " << i;
+      }
+    }
+  }
+  Aes128::set_force_scalar(false);
+}
+
+// n from 0 to 40 covers empty input, a lone tail, whole 8-block batches
+// and every tail length after them.
+TEST(Aes128Test, EncryptKeyedMatchesPerKeyCipher) {
+  if (!Aes128::accelerated()) {
+    GTEST_SKIP() << "no AES-NI on this machine; scalar path is the only one";
+  }
+  Rng rng(40);
+  for (size_t n = 0; n <= 40; ++n) {
+    std::vector<AesKey> keys(n);
+    std::vector<AesBlock> in(n), expect(n);
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = random_block(rng);
+      in[i] = random_block(rng);
+    }
+    Aes128::set_force_scalar(true);
+    for (size_t i = 0; i < n; ++i) {
+      expect[i] = Aes128(keys[i]).encrypt_block(in[i]);
+    }
+    for (bool scalar : {false, true}) {
+      Aes128::set_force_scalar(scalar);
+      std::vector<AesBlock> out(n);
+      Aes128::encrypt_keyed(keys.data(), in.data(), out.data(), n);
+      EXPECT_EQ(out, expect) << (scalar ? "portable" : "AES-NI") << " n=" << n;
+      std::vector<AesBlock> inplace = in;
+      Aes128::encrypt_keyed(keys.data(), inplace.data(), inplace.data(), n);
+      EXPECT_EQ(inplace, expect)
+          << (scalar ? "portable" : "AES-NI") << " in-place n=" << n;
+    }
+  }
+  Aes128::set_force_scalar(false);
 }
 
 }  // namespace

@@ -233,6 +233,8 @@ TEST(TcpClusterTest, HarnessesExportTheSameMetricNames) {
   }
   EXPECT_EQ(tcp_names, emulated_names);
   EXPECT_GE(tcp.metrics().snapshot().get("ingest.ops_applied", -1), 0);
+  EXPECT_GT(tcp.metrics().snapshot().get("engine.build_s", -1), 0);
+  EXPECT_GT(emulated.metrics().snapshot().get("engine.build_s", -1), 0);
 }
 
 }  // namespace
