@@ -51,36 +51,18 @@ double run_once(const PpsFixture& fx, const pps::MultiPredicateQuery& q,
       .count();
 }
 
-// Submission-contention microbench: near-empty tasks at maximum submit
-// rate, so the handoff path itself is the measured cost. `express` uses
-// submit() (per-worker SPSC express ring, lock-free in the common case);
-// !express forces every task through submit_to() — the locked stealable
-// deque, which is the only path the pre-express pool had.
-struct HandoffStats {
-  uint64_t express = 0;
-  uint64_t ring_full = 0;
-  uint64_t stolen = 0;
-};
-
-double contention_run(size_t workers, size_t tasks, bool express,
-                      HandoffStats* stats = nullptr) {
+// Submission-contention microbench: near-empty tasks submitted round-robin
+// at maximum rate, so the handoff path itself (one locked deque push per
+// task, plus the wake) is the measured cost.
+double contention_run(size_t workers, size_t tasks) {
   std::atomic<uint64_t> sink{0};
   auto t0 = std::chrono::steady_clock::now();
   {
     core::WorkerPool pool(workers);
     for (size_t i = 0; i < tasks; ++i) {
-      auto fn = [&sink] { sink.fetch_add(1, std::memory_order_relaxed); };
-      if (express) {
-        pool.submit(fn);
-      } else {
-        pool.submit_to(i % workers, fn);
-      }
+      pool.submit([&sink] { sink.fetch_add(1, std::memory_order_relaxed); });
     }
     pool.drain();
-    if (stats != nullptr) {
-      *stats = {pool.express_submits(), pool.ring_full_events(),
-                pool.stolen()};
-    }
   }
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -131,27 +113,17 @@ int main(int argc, char** argv) {
 
   // ---- submission-contention microbench ---------------------------------
   blank();
-  note("handoff contention: 200k empty tasks, express SPSC ring vs locked");
-  note("deque (the pre-express pool's only path); median of 5");
-  columns({"workers", "express_Mtask_s", "deque_Mtask_s", "ratio"});
+  note("handoff contention: 200k empty tasks through submit(); median of 5");
+  columns({"workers", "handoff_Mtask_s"});
   constexpr size_t kTinyTasks = 200'000;
   for (size_t workers : {2u, 4u}) {
-    SampleSet ex, dq;
-    HandoffStats stats;
+    SampleSet samples;
     for (int rep = 0; rep < 5; ++rep) {
-      ex.add(contention_run(workers, kTinyTasks, /*express=*/true, &stats));
-      dq.add(contention_run(workers, kTinyTasks, /*express=*/false));
+      samples.add(contention_run(workers, kTinyTasks));
     }
-    double ex_rate = kTinyTasks / ex.median() / 1e6;
-    double dq_rate = kTinyTasks / dq.median() / 1e6;
-    row({static_cast<double>(workers), ex_rate, dq_rate,
-         dq_rate > 0 ? ex_rate / dq_rate : 0.0});
-    if (workers == 4) {
-      report.metric("express_mtasks_per_s", ex_rate);
-      report.metric("deque_mtasks_per_s", dq_rate);
-      report.metric("express_ring_full",
-                    static_cast<double>(stats.ring_full));
-    }
+    double rate = kTinyTasks / samples.median() / 1e6;
+    row({static_cast<double>(workers), rate});
+    if (workers == 4) report.metric("handoff_mtasks_per_s", rate);
   }
 
   size_t cores = std::thread::hardware_concurrency();

@@ -182,13 +182,8 @@ int main(int argc, char** argv) {
       report.metric("frames_per_writev", frames_per_writev(cluster));
       report.metric("alloc_per_query",
                     allocs_per_query(cluster, r.completed, bytes_fresh0));
-      report.metric("ring_full_events",
-                    static_cast<double>(cluster.driver().ring_full_events() +
-                                        cluster.pool_ring_full_events()));
       report.metric("wakeups_elided",
                     static_cast<double>(cluster.driver().wakeups_elided()));
-      report.metric("express_submits",
-                    static_cast<double>(cluster.pool_express_submits()));
       // The 16-worker run's whole metrics plane rides along in the JSON
       // record, and the observability flags dump it (plus the assembled
       // span trees still in the trace rings) as text.
@@ -201,10 +196,7 @@ int main(int argc, char** argv) {
       note("traffic at 16 workers: " +
            std::to_string(cluster.messages_sent()) + " msgs, " +
            std::to_string(cluster.bytes_sent()) + " payload bytes; " +
-           "ring_full=" +
-           std::to_string(cluster.driver().ring_full_events() +
-                          cluster.pool_ring_full_events()) +
-           " wakeups_elided=" +
+           "wakeups_elided=" +
            std::to_string(cluster.driver().wakeups_elided()));
     }
   }

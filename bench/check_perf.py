@@ -17,8 +17,8 @@ Baseline files are plain bench records plus a "gate" map:
 "lower"  = the metric must not rise above baseline*(1+tol).
 
 A gate value may also be an object for per-metric settings:
-    "gate": { "ring_full_events": {"direction": "lower", "slack": 100},
-              "alloc_per_query":  {"direction": "lower", "tolerance": 1.0} }
+    "gate": { "tracing_overhead_pct": {"direction": "lower", "slack": 25},
+              "alloc_per_query": {"direction": "lower", "tolerance": 1.0} }
 "tolerance" overrides the global --tolerance for that metric;
 "slack" widens the bound by an absolute amount (floor - slack or
 ceiling + slack), which keeps near-zero counters gateable.

@@ -102,8 +102,6 @@ TcpCluster::TcpCluster(TcpClusterConfig config)
   const std::pair<const char*, uint64_t (TcpCluster::*)() const> pool[] = {
       {"pool.tasks_executed", &TcpCluster::pool_tasks_executed},
       {"pool.tasks_stolen", &TcpCluster::pool_tasks_stolen},
-      {"pool.ring_full_events", &TcpCluster::pool_ring_full_events},
-      {"pool.express_submits", &TcpCluster::pool_express_submits},
   };
   for (const auto& [name, get] : pool) {
     metrics_.gauge_fn(name, [this, get = get] {

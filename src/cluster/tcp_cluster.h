@@ -128,14 +128,6 @@ class TcpCluster : public TcpSubstrate, public ClusterAssembly {
   uint64_t pool_tasks_stolen() const {
     return pool_sum(&core::WorkerPool::stolen);
   }
-  // Backpressure diagnostics: submissions that overflowed a worker's
-  // express ring (fell back to the locked deque), and express-lane hits.
-  uint64_t pool_ring_full_events() const {
-    return pool_sum(&core::WorkerPool::ring_full_events);
-  }
-  uint64_t pool_express_submits() const {
-    return pool_sum(&core::WorkerPool::express_submits);
-  }
 };
 
 }  // namespace roar::cluster

@@ -7,7 +7,6 @@
 namespace roar::core {
 
 namespace {
-constexpr size_t kExpressSlots = 256;
 // Bounded park: the sleep/wake handshake is flag-based and deliberately
 // lock-light, so a theoretically-lost wakeup only costs one tick.
 constexpr auto kParkTick = std::chrono::milliseconds(50);
@@ -16,7 +15,7 @@ constexpr auto kParkTick = std::chrono::milliseconds(50);
 WorkerPool::WorkerPool(size_t workers) {
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
-    workers_.push_back(std::make_unique<WorkerState>(kExpressSlots));
+    workers_.push_back(std::make_unique<WorkerState>());
   }
   threads_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
@@ -44,44 +43,17 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::submit(Task task) {
-  if (threads_.empty() || stopping_.load(std::memory_order_acquire)) {
-    task();  // inline mode (size 0, or shutdown already began)
-    return;
-  }
-  in_flight_.fetch_add(1, std::memory_order_seq_cst);
-  size_t target =
-      next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  WorkerState& w = *workers_[target];
-
-  // Express lane: lock-free when this thread owns (or can claim) the
-  // target's ring.
-  std::thread::id self = std::this_thread::get_id();
-  std::thread::id owner = w.express_owner.load(std::memory_order_relaxed);
-  bool can_express = owner == self;
-  if (!can_express && owner == std::thread::id{}) {
-    can_express = w.express_owner.compare_exchange_strong(
-        owner, self, std::memory_order_acq_rel);
-  }
-  if (can_express) {
-    if (w.express.try_push(std::move(task))) {
-      express_submits_.fetch_add(1, std::memory_order_relaxed);
-      wake(w);
-      return;
-    }
-    // Ring full: spill to the deque (never block, never drop).
-    ring_full_.fetch_add(1, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard lock(w.mu);
-    w.deque.push_back(std::move(task));
-    w.deque_len.store(w.deque.size(), std::memory_order_relaxed);
-  }
-  wake_for_deque(target);
+  // Load + store, not fetch_add: a locked read-modify-write per task cut
+  // handoff throughput ~15% in bench_fig5_5_threads. Concurrent submitters
+  // may pick the same worker, which stealing makes harmless.
+  size_t cursor = next_worker_.load(std::memory_order_relaxed);
+  next_worker_.store(cursor + 1, std::memory_order_relaxed);
+  submit_to(cursor, std::move(task));
 }
 
 void WorkerPool::submit_to(size_t worker, Task task) {
   if (threads_.empty() || stopping_.load(std::memory_order_acquire)) {
-    task();
+    task();  // inline mode (size 0, or shutdown already began)
     return;
   }
   in_flight_.fetch_add(1, std::memory_order_seq_cst);
@@ -92,7 +64,7 @@ void WorkerPool::submit_to(size_t worker, Task task) {
     w.deque.push_back(std::move(task));
     w.deque_len.store(w.deque.size(), std::memory_order_relaxed);
   }
-  wake_for_deque(target);
+  wake_for(target);
 }
 
 void WorkerPool::drain() {
@@ -129,23 +101,14 @@ std::vector<uint64_t> WorkerPool::per_worker_executed() const {
   return out;
 }
 
-bool WorkerPool::any_work(size_t index) const {
-  const WorkerState& me = *workers_[index];
-  if (me.express.size() > 0) return true;
+bool WorkerPool::any_work() const {
   for (const auto& w : workers_) {
     if (w->deque_len.load(std::memory_order_relaxed) > 0) return true;
   }
   return false;
 }
 
-void WorkerPool::wake(WorkerState& w) {
-  if (w.sleeping.load(std::memory_order_seq_cst)) {
-    std::lock_guard lock(w.mu);
-    w.cv.notify_one();
-  }
-}
-
-void WorkerPool::wake_for_deque(size_t target) {
+void WorkerPool::wake_for(size_t target) {
   WorkerState& w = *workers_[target];
   if (w.sleeping.load(std::memory_order_seq_cst)) {
     std::lock_guard lock(w.mu);
@@ -177,13 +140,10 @@ void WorkerPool::worker_loop(size_t index) {
     Task task;
     bool got = false;
     bool stole = false;
-    // Own express lane first (hot path), then own deque, then steal from
-    // a victim's back — scanning from the next worker so the victim
-    // choice rotates rather than always hitting worker 0.
-    if (me.express.try_pop(task)) {
-      got = true;
-    }
-    if (!got && me.deque_len.load(std::memory_order_relaxed) > 0) {
+    // Own deque's front first, then steal from a victim's back — scanning
+    // from the next worker so the victim choice rotates rather than
+    // always hitting worker 0.
+    if (me.deque_len.load(std::memory_order_relaxed) > 0) {
       std::lock_guard lock(me.mu);
       if (!me.deque.empty()) {
         task = std::move(me.deque.front());
@@ -230,11 +190,11 @@ void WorkerPool::worker_loop(size_t index) {
 
     // Park. The flag is raised before the final work re-check so a
     // producer either sees sleeping==true (and notifies under our mutex)
-    // or we see its push; the bounded wait covers the residual
-    // flag-vs-ring ordering race.
+    // or we see its push; the bounded wait covers the residual race
+    // against deque_len's relaxed mirror.
     std::unique_lock lock(me.mu);
     me.sleeping.store(true, std::memory_order_seq_cst);
-    if (!any_work(index) && !stopping_.load(std::memory_order_seq_cst)) {
+    if (!any_work() && !stopping_.load(std::memory_order_seq_cst)) {
       me.cv.wait_for(lock, kParkTick);
     }
     me.sleeping.store(false, std::memory_order_seq_cst);

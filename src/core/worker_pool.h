@@ -1,14 +1,11 @@
 // Fixed-size work-stealing thread pool: the cluster's query-execution
 // engine substrate.
 //
-// Each worker owns two queues. The express lane is a bounded lock-free
-// SPSC ring claimed by the first thread that submits round-robin work to
-// the worker (in the cluster that is the reactor shard driving the node),
-// so the steady-state submit path is an atomic push — no mutex, no
-// syscall. The deque is the mutex-guarded overflow and stealing lane:
-// submit_to targets it directly, express-ring overflow spills into it,
-// and idle workers steal from its back. A pool of size 0 runs every task
-// inline on the caller's thread — that degenerate mode is what keeps the
+// Each worker owns one mutex-guarded deque. submit() places a task on the
+// next worker round-robin, submit_to() on a chosen one; the owner pops
+// from the front and idle workers steal from the back, so every queued
+// task can move to a free lane. A pool of size 0 runs every task inline
+// on the caller's thread — that degenerate mode is what keeps the
 // virtual-time cluster emulation byte-identical when the execution engine
 // is plumbed through it.
 //
@@ -37,8 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/spsc_ring.h"
-
 namespace roar::core {
 
 class WorkerPool {
@@ -53,10 +48,9 @@ class WorkerPool {
 
   size_t size() const { return threads_.size(); }
 
-  // Enqueues `task` (round-robin across workers; express ring when this
-  // thread owns the target's ring, deque otherwise). Inline when
-  // size()==0 or after shutdown began; inline tasks propagate exceptions
-  // directly.
+  // Enqueues `task` on the next worker round-robin (submit_to of the
+  // cursor). Inline when size()==0 or after shutdown began; inline tasks
+  // propagate exceptions directly.
   void submit(Task task);
   // Targets a specific worker's deque; other workers may still steal it.
   // Lets callers bias placement (and lets tests force stealing).
@@ -67,29 +61,13 @@ class WorkerPool {
   void drain();
 
   // Diagnostics. executed counts completed tasks; stolen counts tasks a
-  // worker took from another worker's deque (express lanes are private
-  // and never stolen from).
+  // worker took from another worker's deque.
   uint64_t executed() const;
   uint64_t stolen() const;
   std::vector<uint64_t> per_worker_executed() const;
-  // Submissions that went through an express ring vs. total.
-  uint64_t express_submits() const {
-    return express_submits_.load(std::memory_order_relaxed);
-  }
-  // Express pushes that found the ring full and spilled to the deque —
-  // the backpressure signal the loopback bench gates on.
-  uint64_t ring_full_events() const {
-    return ring_full_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct WorkerState {
-    explicit WorkerState(size_t ring_slots) : express(ring_slots) {}
-
-    SpscRing<Task> express;
-    // The single producer allowed to push to `express`; claimed by CAS on
-    // first round-robin submit. Everyone else uses the deque.
-    std::atomic<std::thread::id> express_owner{};
     std::mutex mu;
     std::deque<Task> deque;  // guarded by mu
     // deque.size() mirror, readable without the lock (steal scan, sleep
@@ -103,21 +81,18 @@ class WorkerPool {
   void worker_loop(size_t index);
   // True if any queue anywhere is non-empty (approximate: lock-free
   // reads; the bounded sleep covers the race).
-  bool any_work(size_t index) const;
-  void wake(WorkerState& w);
-  // Wakes the target if parked, else any parked worker (deque pushes are
-  // stealable, so an idle peer can serve them).
-  void wake_for_deque(size_t target);
+  bool any_work() const;
+  // Wakes the target if parked, else any parked worker (every queued
+  // task is stealable, so an idle peer can serve it).
+  void wake_for(size_t target);
   void finish_one();
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::vector<std::thread> threads_;
-  std::atomic<size_t> next_worker_{0};  // round-robin submit cursor
+  std::atomic<size_t> next_worker_{0};  // round-robin submit cursor (a hint)
   std::atomic<size_t> in_flight_{0};    // queued + currently running
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> stolen_{0};
-  std::atomic<uint64_t> express_submits_{0};
-  std::atomic<uint64_t> ring_full_{0};
   mutable std::mutex idle_mu_;
   std::condition_variable idle_cv_;  // drain: in-flight reached zero
   std::mutex error_mu_;

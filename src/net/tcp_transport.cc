@@ -50,51 +50,10 @@ size_t WallClock::fire_due() {
 
 // ---------------------------------------------------------------- Mailbox
 
-namespace {
-
-std::atomic<uint64_t> g_mailbox_ids{1};
-
-// Per-thread cache: mailbox id -> that thread's producer ring. Keyed by a
-// process-unique id (never an address) so an entry can never alias a
-// later mailbox; entries for dead mailboxes are simply never hit again.
-thread_local std::unordered_map<uint64_t, void*> t_mail_rings;
-
-}  // namespace
-
-Mailbox::Mailbox(size_t ring_capacity)
-    : ring_capacity_(ring_capacity),
-      id_(g_mailbox_ids.fetch_add(1, std::memory_order_relaxed)) {}
-
-Mailbox::~Mailbox() {
-  // Best effort: drop this thread's own cache entry. Other threads' stale
-  // entries are harmless (the id is never reused) and bounded by the
-  // number of mailboxes the thread ever pushed to.
-  t_mail_rings.erase(id_);
-}
-
-Mailbox::Ring* Mailbox::ring_for_this_thread() {
-  auto it = t_mail_rings.find(id_);
-  if (it != t_mail_rings.end()) return static_cast<Ring*>(it->second);
-  auto ring = std::make_unique<Ring>(ring_capacity_);
-  Ring* raw = ring.get();
-  {
-    std::lock_guard lock(rings_mu_);
-    rings_.push_back(std::move(ring));
-  }
-  t_mail_rings.emplace(id_, raw);
-  return raw;
-}
-
 void Mailbox::push(std::function<void()> fn) {
-  Ring* ring = ring_for_this_thread();
-  if (!ring->try_push(std::move(fn))) {
-    // try_push leaves `fn` untouched on failure; spill to the locked
-    // overflow rather than blocking or dropping.
-    {
-      std::lock_guard lock(overflow_mu_);
-      overflow_.push_back(std::move(fn));
-    }
-    ring_full_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard lock(mu_);
+    queue_.push_back(std::move(fn));
   }
   // seq_cst, and strictly after the closure is enqueued: pairs with the
   // poller's sleeping-flag store so either this producer sees the poller
@@ -103,25 +62,12 @@ void Mailbox::push(std::function<void()> fn) {
 }
 
 size_t Mailbox::drain(std::vector<std::function<void()>>& out) {
-  size_t n = 0;
+  out.clear();  // outside the lock: a closure's destructor may push
   {
-    std::lock_guard lock(rings_mu_);
-    for (auto& ring : rings_) {
-      std::function<void()> fn;
-      while (ring->try_pop(fn)) {
-        out.push_back(std::move(fn));
-        ++n;
-      }
-    }
+    std::lock_guard lock(mu_);
+    out.swap(queue_);
   }
-  {
-    std::lock_guard lock(overflow_mu_);
-    for (auto& fn : overflow_) {
-      out.push_back(std::move(fn));
-      ++n;
-    }
-    overflow_.clear();
-  }
+  size_t n = out.size();
   if (n > 0) pending_.fetch_sub(n, std::memory_order_seq_cst);
   return n;
 }
@@ -214,7 +160,6 @@ size_t TcpDriver::poll_shard(Shard& sh, int max_wait_ms) {
   size_t handled =
       sh.reactor.poll(wait_ms, [&sh] { return sh.mail.pending() > 0; });
   handled += sh.clock.fire_due();
-  sh.scratch.clear();
   sh.mail.drain(sh.scratch);
   for (auto& fn : sh.scratch) fn();
   handled += sh.scratch.size();
@@ -248,12 +193,6 @@ bool TcpDriver::run_until(const std::function<bool()>& pred,
   return true;
 }
 
-uint64_t TcpDriver::ring_full_events() const {
-  uint64_t total = 0;
-  for (const auto& sh : shards_) total += sh->mail.ring_full_events();
-  return total;
-}
-
 uint64_t TcpDriver::wakeups_elided() const {
   uint64_t total = 0;
   for (const auto& sh : shards_) total += sh->reactor.wakeups_elided();
@@ -262,9 +201,6 @@ uint64_t TcpDriver::wakeups_elided() const {
 
 void TcpDriver::register_metrics(MetricsRegistry& reg,
                                  const std::string& prefix) {
-  reg.gauge_fn(prefix + ".ring_full_events", [this] {
-    return static_cast<double>(ring_full_events());
-  });
   reg.gauge_fn(prefix + ".wakeups_elided", [this] {
     return static_cast<double>(wakeups_elided());
   });

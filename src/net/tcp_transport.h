@@ -14,8 +14,8 @@
 // (per-node connection pinning — its listener, accepted sockets, outgoing
 // sockets, timers and handlers all live on that shard). Cross-shard
 // traffic flows over the sockets themselves, so no data structure is
-// shared between shards except the route registry (mutex) and the
-// mailboxes (SPSC rings). The threading contract for everything owned by
+// shared between shards except the route registry and the mailboxes
+// (each behind a mutex). The threading contract for everything owned by
 // a shard: touch it only from that shard's thread, from before start(),
 // or through post_to()/run_on().
 //
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "core/spsc_ring.h"
 #include "net/tcp.h"
 #include "net/transport.h"
 
@@ -86,43 +85,32 @@ class WallClock : public Clock {
   std::unordered_map<uint64_t, Callback> callbacks_;
 };
 
-// Cross-thread closure queue into one reactor shard. Each producer thread
-// gets its own bounded SPSC ring (registered on first push); a full ring
-// overflows to a mutex-guarded vector rather than blocking or dropping,
-// and the overflow count is exported as the ring_full_events backpressure
-// signal. The consumer (the shard's loop) drains every ring plus the
-// overflow each round. The eventfd wakeup lives in TcpReactor::notify —
-// this class only tracks the pending count the poller's sleep check needs.
+// Cross-thread closure queue into one reactor shard: one mutex-guarded
+// vector that every producer appends to, so closures from any one producer
+// run in the order it pushed them. The consumer (the shard's loop) takes
+// the whole vector each round. Unbounded by design: a closure is a
+// completion the shard must run, and the queue bound that matters is the
+// node's admission cap upstream. The eventfd wakeup lives in
+// TcpReactor::notify — this class only tracks the pending count the
+// poller's sleep check needs.
 class Mailbox {
  public:
-  explicit Mailbox(size_t ring_capacity = 512);
-  ~Mailbox();
-
-  // Any thread. Never blocks, never drops.
+  // Any thread. Never blocks on the consumer, never drops.
   void push(std::function<void()> fn);
-  // Consumer only: appends everything pending to `out`, returns count.
+  // Consumer only: replaces `out`'s contents with everything pending and
+  // returns the count. `out` and the queue trade buffers, so a consumer
+  // that reuses one `out` allocates nothing in the steady state.
   size_t drain(std::vector<std::function<void()>>& out);
 
   // seq_cst so it pairs with the poller's sleeping-flag handshake.
   size_t pending() const {
     return pending_.load(std::memory_order_seq_cst);
   }
-  uint64_t ring_full_events() const {
-    return ring_full_.load(std::memory_order_relaxed);
-  }
 
  private:
-  using Ring = core::SpscRing<std::function<void()>>;
-  Ring* ring_for_this_thread();
-
-  const size_t ring_capacity_;
-  const uint64_t id_;  // process-unique, keys the thread-local ring cache
-  mutable std::mutex rings_mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;  // guarded by rings_mu_
-  std::mutex overflow_mu_;
-  std::vector<std::function<void()>> overflow_;  // guarded by overflow_mu_
+  std::mutex mu_;
+  std::vector<std::function<void()>> queue_;  // guarded by mu_
   std::atomic<size_t> pending_{0};
-  std::atomic<uint64_t> ring_full_{0};
 };
 
 // Shared runtime for a set of TcpTransport endpoints; see the file
@@ -175,14 +163,12 @@ class TcpDriver {
   // Polls shard 0 until pred() holds or `timeout_s` wall seconds pass.
   bool run_until(const std::function<bool()>& pred, double timeout_s = 10.0);
 
-  // Backpressure/efficiency counters summed over shards.
-  uint64_t ring_full_events() const;
+  // Efficiency counter summed over shards.
   uint64_t wakeups_elided() const;
   // Registers the driver's counters with a metrics registry as lazy
-  // gauges under `prefix` (mailbox ring overflows, elided wakeups, and
-  // the per-reactor flush batching counters summed over shards). All
-  // sampled counters are relaxed atomics, so snapshotting while shard
-  // loops run is race-free.
+  // gauges under `prefix` (elided wakeups and the per-reactor flush
+  // batching counters summed over shards). All sampled counters are
+  // relaxed atomics, so snapshotting while shard loops run is race-free.
   void register_metrics(MetricsRegistry& reg, const std::string& prefix);
 
  private:

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "net/tcp_transport.h"
 
@@ -215,8 +218,8 @@ TEST(TcpTransportTest, RunOnExecutesOnShardThreadAndInline) {
   EXPECT_EQ(after_id, main_id);
 }
 
-TEST(MailboxTest, PushDrainAcrossThreadsCountsOverflow) {
-  Mailbox mail(4);  // tiny ring: forces overflow
+TEST(MailboxTest, PushDrainAcrossThreads) {
+  Mailbox mail;
   std::atomic<int> ran{0};
   constexpr int kPer = 100;
   std::thread producer([&] {
@@ -234,7 +237,52 @@ TEST(MailboxTest, PushDrainAcrossThreadsCountsOverflow) {
   for (auto& fn : batch) fn();
   EXPECT_EQ(ran.load(), 2 * kPer);
   EXPECT_EQ(mail.pending(), 0u);
-  EXPECT_GT(mail.ring_full_events(), 0u) << "4-slot ring must have spilled";
+}
+
+// `producers` threads each push `per_producer` closures numbered 0, 1, ...
+// while this thread drains and runs them, as a shard loop does. Returns,
+// per producer, how many closures ran after a later-numbered one.
+std::vector<uint64_t> mailbox_order_inversions(int producers,
+                                               int per_producer) {
+  Mailbox mail;
+  // Touched only by the closures, i.e. only on this (the consumer) thread.
+  std::vector<int> last(producers, -1);
+  std::vector<uint64_t> inversions(producers, 0);
+  int64_t ran = 0;
+  std::vector<std::thread> threads;
+  for (int p = 0; p < producers; ++p) {
+    threads.emplace_back([&, p] {
+      for (int i = 0; i < per_producer; ++i) {
+        mail.push([&, p, i] {
+          if (i < last[p]) ++inversions[p];
+          last[p] = i;
+          ++ran;
+        });
+      }
+    });
+  }
+  const int64_t total = static_cast<int64_t>(producers) * per_producer;
+  // A lost closure fails the count check below instead of hanging.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::vector<std::function<void()>> batch;
+  while (ran < total && std::chrono::steady_clock::now() < deadline) {
+    if (mail.drain(batch) == 0) std::this_thread::yield();
+    for (auto& fn : batch) fn();
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ran, total);
+  EXPECT_EQ(mail.pending(), 0u);
+  return inversions;
+}
+
+TEST(MailboxTest, OneProducerRunsInPushOrder) {
+  EXPECT_EQ(mailbox_order_inversions(1, 200'000),
+            (std::vector<uint64_t>{0}));
+}
+
+TEST(MailboxTest, EachOfTwoProducersRunsInItsPushOrder) {
+  EXPECT_EQ(mailbox_order_inversions(2, 200'000),
+            (std::vector<uint64_t>{0, 0}));
 }
 
 }  // namespace

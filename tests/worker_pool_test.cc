@@ -1,7 +1,8 @@
 // core::WorkerPool: the execution-engine substrate. Covers the contract
 // the cluster depends on — shutdown drains everything already submitted,
-// stealing spreads skewed load, exceptions surface at drain() without
-// killing lanes, and size 0 degenerates to inline execution.
+// stealing spreads skewed load and frees a task queued behind a busy lane,
+// exceptions surface at drain() without killing lanes, and size 0
+// degenerates to inline execution.
 #include "core/worker_pool.h"
 
 #include <gtest/gtest.h>
@@ -93,6 +94,30 @@ TEST(WorkerPool, StealingSpreadsSkewedLoad) {
   }
   EXPECT_EQ(total, 400u);
   EXPECT_GE(workers_used, 2);
+}
+
+TEST(WorkerPool, RoundRobinTaskBehindBusyLaneIsStolen) {
+  WorkerPool pool(2);
+  std::atomic<bool> t2_ran{false};
+  std::atomic<bool> t0_saw_t2{false};
+  // Round-robin places T0 and T2 on one lane and T1 on the other. T0
+  // holds its lane until T2 has run, so T2 can only run if the other
+  // lane steals it. The deadline turns a missing steal into a failure
+  // rather than a hang.
+  pool.submit([&] {
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!t2_ran.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    t0_saw_t2.store(t2_ran.load(std::memory_order_acquire));
+  });
+  pool.submit([] {});
+  pool.submit([&] { t2_ran.store(true, std::memory_order_release); });
+  pool.drain();
+  EXPECT_TRUE(t0_saw_t2.load()) << "T2 waited behind the busy lane";
+  EXPECT_GT(pool.stolen(), 0u);
 }
 
 TEST(WorkerPool, ExceptionSurfacesAtDrainAndPoolSurvives) {
