@@ -5,11 +5,12 @@
 //
 // Two sweeps:
 //  * modeled matching (the seed's Definition-8 service model) across
-//    worker-pool sizes: workers = 0 is the seed's inline single-pipeline
+//    worker-pool sizes: workers = 0 is the single analytic pipeline per
 //    node; workers = N is an N-lane engine per node, so throughput scales
 //    with the lane count until the front-end/loop thread saturates;
 //  * real pps matching (MatchEngine: encrypted corpus + keyword query)
-//    inline vs pooled, as an honest measured-CPU data point.
+//    inline (a size-0 pool: the same batched path, scanned on the node's
+//    shard thread) vs pooled, as an honest measured-CPU data point.
 //
 // Build & run:  ./build/bench/bench_tcp_loopback [--json out.json]
 //               [--seed n] [--duration per-run-seconds]

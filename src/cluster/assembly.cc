@@ -42,7 +42,6 @@ ClusterAssembly::ClusterAssembly(Substrate& substrate, AssemblyConfig config,
 
 void ClusterAssembly::assemble(const std::vector<sim::ServerClass>& classes,
                                Wiring wiring) {
-  modeled_timing_ = wiring.modeled_timing;
   rated_capacity_qps_ = rated_capacity(config_, classes);
   config_.frontend.p = config_.p;
   config_.frontend.subquery_overhead_s = config_.node_proto.subquery_overhead_s;
@@ -60,21 +59,15 @@ void ClusterAssembly::assemble(const std::vector<sim::ServerClass>& classes,
   }
   if (config_.slo.enabled) {
     // One contract spec feeds everything: the admission controller every
-    // frontend runs, the Spang bounds every node enforces, and (with
-    // adaptive p) the latency target the p controller holds.
-    uint32_t n_nodes = 0;
-    for (const auto& cls : classes) n_nodes += cls.count;
-    double per_node_subq =
-        rated_capacity_qps_ * config_.p / std::max(1u, n_nodes);
-    core::ResolvedSlo r = core::resolve_slo(
-        config_.slo, rated_capacity_qps_, per_node_subq, config_.frontends);
+    // frontend runs, the backlog bound every analytic-pipeline node
+    // enforces, and (with adaptive p) the latency target the p controller
+    // holds.
+    core::ResolvedSlo r = core::resolve_slo(config_.slo, rated_capacity_qps_,
+                                            config_.frontends);
     config_.frontend.slo_enabled = true;
     config_.frontend.admission = r.admission;
     if (config_.node_proto.max_backlog_s <= 0) {
       config_.node_proto.max_backlog_s = r.node_max_backlog_s;
-    }
-    if (config_.node_proto.exec_queue_cap == 0) {
-      config_.node_proto.exec_queue_cap = r.node_exec_queue_cap;
     }
     if (cp.adaptive) cp.adaptive_params.target_p99_s = r.target_p99_s;
   }
@@ -187,7 +180,6 @@ void ClusterAssembly::register_gauges() {
   nodes("node.subqueries", &NodeRuntime::subqueries_served);
   nodes("node.updates_applied", &NodeRuntime::updates_applied);
   nodes("node.shed", &NodeRuntime::subs_shed);
-  nodes("node.exec_queue_hwm", &NodeRuntime::exec_queue_hwm, /*max=*/true);
   nodes("node.backlog_hwm_s", &NodeRuntime::backlog_hwm_s, /*max=*/true);
   of("net.messages_sent", this, &ClusterAssembly::messages_sent);
   of("net.messages_dropped", this, &ClusterAssembly::messages_dropped);
@@ -238,10 +230,7 @@ void ClusterAssembly::make_node(NodeId id, double speed) {
       std::make_unique<NodeRuntime>(transport, np, config_.dataset_size);
   node->set_tracer(&tracer_, substrate_.node_shard(id));
   node->set_service_histogram(&metrics_.histogram("node.service_s"));
-  if (engine_) {
-    node->set_match_engine(engine_);
-    if (modeled_timing_) node->set_modeled_timing(true);
-  }
+  if (engine_) node->set_match_engine(engine_);
   if (config_.enable_ingest) node->enable_ingest(config_.ingest, engine_);
   substrate_.attach(*node);
   control_->subscribe_node(id);

@@ -63,9 +63,9 @@ struct AssemblyConfig {
   MatchEngineConfig engine{};
   IngestConfig ingest{};
   // Overload control (core/slo.h): per-class contracts feeding frontend
-  // admission/shedding, Spang-sized queue bounds on frontends and nodes,
-  // and (with adaptive p) the controller's p99 target — all from this one
-  // spec. Caps left 0 are derived from rated_capacity_qps().
+  // admission/shedding, the Spang-sized front-end in-flight cap and node
+  // backlog bound, and (with adaptive p) the controller's p99 target — all
+  // from this one spec. Caps left 0 are derived from rated_capacity_qps().
   core::SloSpec slo;
 };
 
@@ -104,9 +104,6 @@ class ClusterAssembly {
     ControlPlaneParams control{};
     // Give nodes the shared MatchEngine even without ingestion.
     bool real_matching = false;
-    // Nodes with an engine still charge the modeled service time, which
-    // keeps virtual-time traces independent of the host.
-    bool modeled_timing = false;
   };
 
   ClusterAssembly(const ClusterAssembly&) = delete;
@@ -253,7 +250,6 @@ class ClusterAssembly {
  private:
   void register_gauges();
 
-  bool modeled_timing_ = false;
   double rated_capacity_qps_ = 0.0;
   double engine_build_s_ = 0.0;  // wall time of the MatchEngine build
   // Distinct transports the components were wired to (traffic totals).

@@ -12,7 +12,6 @@ ClusterAssembly::Wiring emulated_wiring(const ClusterConfig& c) {
   w.control.adaptive = c.adaptive_p;
   w.control.adaptive_params = c.adaptive;
   w.control.adaptive_interval_s = c.adaptive_interval_s;
-  w.modeled_timing = true;  // keep virtual time host-free
   return w;
 }
 

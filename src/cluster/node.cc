@@ -74,11 +74,6 @@ void NodeRuntime::stats_tick(uint64_t life) {
                               [this, life] { stats_tick(life); });
 }
 
-void NodeRuntime::set_executor(NodeExecutor exec) {
-  exec_ = std::move(exec);
-  if (exec_.batch_max == 0) exec_.batch_max = 1;
-}
-
 void NodeRuntime::set_match_engine(
     std::shared_ptr<const MatchEngine> engine) {
   engine_ = std::move(engine);
@@ -217,38 +212,15 @@ void NodeRuntime::shed_reply(net::Address from, const SubQueryMsg& m) {
   net_.send(address(), from, reply.encode());
 }
 
-bool NodeRuntime::exec_queue_refuses(const SubQueryMsg& m) {
-  size_t cap = params_.exec_queue_cap;
-  if (cap == 0) return false;
-  auto limit = static_cast<size_t>(static_cast<double>(cap) *
-                                   core::class_bound_frac(m.klass));
-  if (pending_subs_.size() < std::max<size_t>(1, limit)) return false;
-  // At this class's share of the cap. A higher-priority arrival may still
-  // displace the newest strictly-lower-priority queued sub (drop-tail by
-  // class); net occupancy is unchanged, so the hard cap keeps holding.
-  auto victim = std::find_if(
-      pending_subs_.rbegin(), pending_subs_.rend(),
-      [&](const auto& e) { return e.second.klass > m.klass; });
-  if (victim == pending_subs_.rend()) return true;
-  shed_reply(victim->first, victim->second);
-  pending_subs_.erase(std::next(victim).base());
-  return false;
-}
-
 void NodeRuntime::on_subquery(net::Address from, const SubQueryMsg& m) {
   TraceIdScope log_scope(m.trace);
   trace_event(m.trace, core::TraceStage::kNodeRecv, m.part_id,
               net_.clock().now());
-  if (pooled()) {
-    if (exec_queue_refuses(m)) {
-      shed_reply(from, m);
-      return;
-    }
-    // Batched path: queue, and drain once per loop wakeup. schedule_after(0)
-    // fires in the same poll round, after the whole read batch, so every
-    // sub-query that arrived together is drained together.
+  if (executes()) {
+    // Wall-clock path: queue, and drain once per loop wakeup.
+    // schedule_after(0) fires in the same poll round, after the whole read
+    // batch, so every sub-query that arrived together is drained together.
     pending_subs_.emplace_back(from, m);
-    exec_queue_hwm_ = std::max(exec_queue_hwm_, pending_subs_.size());
     if (!drain_scheduled_) {
       drain_scheduled_ = true;
       net_.clock().schedule_after(0.0, [this] { drain_batch(); });
@@ -257,10 +229,9 @@ void NodeRuntime::on_subquery(net::Address from, const SubQueryMsg& m) {
   }
 
   if (params_.max_backlog_s > 0) {
-    // Virtual-time queue bound: the modeled pipeline's reservation is the
-    // queue. Refusing here is what keeps an open-loop overload from
-    // growing busy_until_ without bound — the death-by-timeout spiral the
-    // unbounded node fell into.
+    // The analytic pipeline's reservation is the queue. Refusing here is
+    // what keeps an open-loop overload from growing busy_until_ without
+    // bound — the death-by-timeout spiral the unbounded node fell into.
     double backlog =
         std::max(0.0, busy_until_ - net_.clock().now());
     if (backlog > params_.max_backlog_s * core::class_bound_frac(m.klass)) {
@@ -270,39 +241,21 @@ void NodeRuntime::on_subquery(net::Address from, const SubQueryMsg& m) {
     backlog_hwm_s_ = std::max(backlog_hwm_s_, backlog);
   }
 
+  // Analytic pipeline: service time accrues on the single modeled
+  // pipeline and the reply is scheduled at its finish time. An engine
+  // supplies real counts; the timing stays analytic, so virtual-time
+  // traces never depend on the host's scan speed.
+  ResolvedSub sub = resolve(from, m);
   if (engine_) {
-    // Inline real matching (workers = 0): the scan runs on the loop
-    // thread — results identical to the pooled path, only the
-    // concurrency differs.
-    ResolvedSub sub = resolve(from, m);
-    if (!modeled_timing_) {
-      trace_event(m.trace, core::TraceStage::kNodeExec, m.part_id,
-                  net_.clock().now());
-    }
     MatchEngine::Result r = sub.snap ? engine_->execute(sub.window, *sub.snap)
                                      : engine_->execute(sub.window);
-    if (modeled_timing_) {
-      // Virtual-time deployments: real counts, analytic timing — the
-      // reply departs at the modeled pipeline's finish, so traces stay
-      // independent of the host's actual scan speed.
-      reply_modeled(sub, r.scanned, r.matches);
-      return;
-    }
-    complete(sub, r.scanned, r.matches,
-             r.cpu_s + params_.subquery_overhead_s);
-    return;
+    sub.reply.scanned = r.scanned;
+    sub.reply.matches = r.matches;
   }
-
-  // Original virtual-time model: service time accrues on the single
-  // modeled pipeline and the reply is scheduled at its finish time. This
-  // branch is byte-identical with the pre-engine node, which keeps the
-  // EmulatedCluster's virtual-time traces stable.
-  ResolvedSub sub = resolve(from, m);
-  reply_modeled(sub, sub.reply.scanned, sub.reply.matches);
+  reply_modeled(sub);
 }
 
-void NodeRuntime::reply_modeled(const ResolvedSub& sub, uint64_t scanned,
-                                uint64_t matches) {
+void NodeRuntime::reply_modeled(const ResolvedSub& sub) {
   double service = sub.modeled_service_s;
   double finish = enqueue_work(service);
   ++subqueries_served_;
@@ -315,8 +268,6 @@ void NodeRuntime::reply_modeled(const ResolvedSub& sub, uint64_t scanned,
   if (service_hist_) service_hist_->record(service);
 
   SubQueryReplyMsg reply = sub.reply;
-  reply.scanned = scanned;
-  reply.matches = matches;
   reply.service_s = service;
   net::Address dest = sub.from;
   net_.clock().schedule_at(finish, [this, dest, reply] {
@@ -328,7 +279,7 @@ void NodeRuntime::drain_batch() {
   drain_scheduled_ = false;
   if (!alive_ || pending_subs_.empty()) return;
 
-  size_t n = std::min(pending_subs_.size(), exec_.batch_max);
+  size_t n = std::min(pending_subs_.size(), kBatchMax);
   std::vector<ResolvedSub> batch;
   batch.reserve(n);
   double drain_at = net_.clock().now();
@@ -348,9 +299,11 @@ void NodeRuntime::drain_batch() {
   batched_subqueries_ += n;
 
   if (engine_) {
-    // Real matching: split the batch over at most pool-size chunks; each
-    // chunk shares one evaluation (the amortized store/ordering work).
-    size_t lanes = std::min(exec_.pool->size(), batch.size());
+    // Real matching: split the batch over at most pool-size chunks (one
+    // inline chunk on a size-0 pool); each chunk shares one evaluation
+    // (the amortized store/ordering work).
+    size_t lanes = std::min(std::max<size_t>(1, exec_.pool->size()),
+                            batch.size());
     std::vector<std::vector<ResolvedSub>> chunks(lanes);
     for (size_t i = 0; i < batch.size(); ++i) {
       chunks[i % lanes].push_back(std::move(batch[i]));
@@ -386,7 +339,7 @@ void NodeRuntime::drain_batch() {
   // Modeled matching on real lanes: each worker lane *occupies itself* for
   // the modeled service time (this is Definition 8's constant-service-time
   // pipeline, W lanes wide), then posts the completion. Reply content is
-  // identical to the inline path; only queueing changes.
+  // identical to the analytic path; only queueing changes.
   for (auto& sub : batch) {
     double service = sub.modeled_service_s;
     auto post = exec_.post;

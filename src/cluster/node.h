@@ -13,16 +13,17 @@
 // retransmission replaces every bespoke recovery path the old one-shot
 // range-push/fetch-order messages needed.
 //
-// Execution engine (wall-clock deployments): set_executor() attaches a
-// core::WorkerPool and a loop-thread post function. Sub-queries arriving
-// in one event-loop round are then *batched* — drained up to
-// NodeExecutor::batch_max per wakeup — and executed on the pool (the real
-// pps match when a MatchEngine is attached, otherwise the modeled service
-// time actually elapsing on a worker lane). Completions are posted back
-// to the loop thread, which alone touches the transport and counters.
-// With no executor (or a size-0 pool) the node runs the original inline
-// virtual-time path byte-for-byte, which is what keeps the EmulatedCluster
-// deterministic.
+// Timing models. A node with an executor (set_executor) runs its
+// sub-queries on wall-clock time: sub-queries arriving in one event-loop
+// round are batched — drained up to kBatchMax per wakeup — and executed
+// on the pool (the real pps match when a MatchEngine is attached,
+// otherwise the modeled service time actually elapsing on a worker lane),
+// with completions posted back to the loop thread, which alone touches
+// the transport and counters. A size-0 pool runs the same path inline on
+// the loop thread. A node without an executor replies from the analytic
+// Definition-8 pipeline on its clock; an engine then supplies the reply's
+// real counts, never its timing — which is what keeps the EmulatedCluster
+// deterministic in virtual time.
 #pragma once
 
 #include <atomic>
@@ -55,29 +56,26 @@ struct NodeParams {
   // The adaptive-p controller's node-side signal.
   double stats_interval_s = 0.0;
   // --- overload control (core/slo.h; 0 = unbounded legacy behaviour) ----
-  // Drop-tail cap on the pooled executor submit queue (pending_subs_),
-  // Spang-sized by the harness. Arrivals beyond a class's share of the cap
-  // are refused with a shed reply; a higher-priority arrival at the cap
-  // displaces the newest lower-priority queued sub instead.
-  size_t exec_queue_cap = 0;
-  // Bound, in seconds, on the modeled pipeline's backlog (busy_until_ −
-  // now) — the virtual-time analogue of the executor queue cap. Same
-  // per-class shares.
+  // Bound, in seconds, on the analytic pipeline's backlog (busy_until_ −
+  // now): arrivals beyond a class's share of it (core::class_bound_frac)
+  // are refused with a shed reply. Nodes with an executor take no such
+  // bound; front-end admission bounds what reaches them.
   double max_backlog_s = 0.0;
 };
+
+// Max sub-queries drained per wakeup. Arrivals beyond it stay queued and
+// the drain reschedules itself, so the loop thread never stalls on an
+// unbounded batch.
+constexpr size_t kBatchMax = 16;
 
 // Off-loop execution wiring. `pool` stays owned by the harness and must
 // outlive the node's in-flight work (destroy pools before nodes).
 // `post` marshals a closure back to the event-loop thread (e.g.
-// TcpDriver::post); posted closures are the ONLY way pooled work touches
-// the node again.
+// TcpDriver::post); posted closures are the ONLY way executed work
+// touches the node again.
 struct NodeExecutor {
   core::WorkerPool* pool = nullptr;
   std::function<void(std::function<void()>)> post;
-  // Max sub-queries drained per wakeup. Arrivals beyond it stay queued
-  // and the drain reschedules itself, so the loop thread never stalls on
-  // an unbounded batch.
-  size_t batch_max = 16;
 };
 
 class NodeRuntime {
@@ -96,11 +94,12 @@ class NodeRuntime {
 
   void set_dataset_size(uint64_t d) { dataset_size_ = d; }
 
-  // Attaches the parallel execution engine. Pass a default-constructed
-  // NodeExecutor (or a size-0 pool) to restore inline execution.
-  void set_executor(NodeExecutor exec);
+  // Attaches the execution engine (wall-clock timing). A size-0 pool runs
+  // engine scans inline on the loop thread; without an engine it leaves
+  // the node on the analytic pipeline.
+  void set_executor(NodeExecutor exec) { exec_ = std::move(exec); }
   // Attaches real matching (shared, immutable). Without an engine the
-  // node uses the analytic service model.
+  // node uses the analytic service model's counts.
   void set_match_engine(std::shared_ptr<const MatchEngine> engine);
   // Live ingestion: gives the node its own IngestLog (a per-replica
   // versioned store over the engine's shared base corpus + the
@@ -110,11 +109,6 @@ class NodeRuntime {
                      std::shared_ptr<const MatchEngine> engine);
   IngestLog* ingest() { return ingest_.get(); }
   const IngestLog* ingest() const { return ingest_.get(); }
-  // Deterministic timing for engine-backed matching: replies carry REAL
-  // scanned/match counts but are scheduled at the ANALYTIC service-model
-  // finish time. This is how the virtual-time EmulatedCluster runs real
-  // matching without its traces depending on wall-clock scan speed.
-  void set_modeled_timing(bool on) { modeled_timing_ = on; }
 
   // --- observability -----------------------------------------------------
   // Attaches the cluster tracer; `shard` is the trace ring this node
@@ -156,14 +150,11 @@ class NodeRuntime {
   // Batching diagnostics: drain wakeups and sub-queries they carried.
   uint64_t batches_drained() const { return batches_drained_; }
   uint64_t batched_subqueries() const { return batched_subqueries_; }
-  // Overload-control stats. With exec_queue_cap > 0 the drop-tail law
-  // guarantees exec_queue_hwm ≤ exec_queue_cap; with max_backlog_s > 0 it
-  // guarantees backlog_hwm_s ≤ max_backlog_s (both recorded at admission,
-  // both audited by the scenario safety report).
+  // Overload-control stats. With max_backlog_s > 0 the drop-tail law
+  // guarantees backlog_hwm_s ≤ max_backlog_s (recorded at admission,
+  // audited by the scenario safety report).
   uint64_t subs_shed() const { return subs_shed_; }
-  size_t exec_queue_hwm() const { return exec_queue_hwm_; }
   double backlog_hwm_s() const { return backlog_hwm_s_; }
-  size_t exec_queue_cap() const { return params_.exec_queue_cap; }
   double max_backlog_s() const { return params_.max_backlog_s; }
 
   // The object ids this node stores: its range extended 1/p backwards
@@ -186,13 +177,10 @@ class NodeRuntime {
 
   void handle(net::Address from, net::ByteView payload);
   void on_subquery(net::Address from, const SubQueryMsg& m);
-  // Refuses one sub-query at a queue bound: immediate shed reply (proves
-  // liveness, books the harvest loss at the front-end now instead of
-  // after a timeout).
+  // Refuses one sub-query at the backlog bound: immediate shed reply
+  // (proves liveness, books the harvest loss at the front-end now instead
+  // of after a timeout).
   void shed_reply(net::Address from, const SubQueryMsg& m);
-  // True if the bounded executor queue cannot take `m` (after trying to
-  // displace a newer, lower-priority entry).
-  bool exec_queue_refuses(const SubQueryMsg& m);
   // One relay child: its own branch targets, pacing window and (at most
   // one) queued wave a full window deferred.
   struct RelayChild {
@@ -228,22 +216,21 @@ class NodeRuntime {
   void stats_tick(uint64_t life);
   void on_update(const ObjectUpdateMsg& m);
 
-  bool pooled() const {
-    return exec_.pool != nullptr && exec_.pool->size() > 0 &&
-           static_cast<bool>(exec_.post);
+  // Wall-clock timing: an executor that scans (an engine) or has lanes to
+  // occupy. Otherwise the analytic pipeline answers.
+  bool executes() const {
+    return exec_.pool != nullptr && (engine_ || exec_.pool->size() > 0);
   }
-  // Loop thread: takes up to batch_max pending sub-queries and submits
+  // Loop thread: takes up to kBatchMax pending sub-queries and submits
   // them to the pool (engine batches share one evaluation).
   void drain_batch();
   ResolvedSub resolve(net::Address from, const SubQueryMsg& m) const;
   // Loop thread: accounting + reply for one finished sub-query.
   void complete(const ResolvedSub& sub, uint64_t scanned, uint64_t matches,
                 double service_s);
-  // Virtual-time reply: occupies the modeled pipeline for the analytic
-  // service time and schedules the reply at its finish. Shared by the
-  // engine-less path and the modeled-timing engine path.
-  void reply_modeled(const ResolvedSub& sub, uint64_t scanned,
-                     uint64_t matches);
+  // Analytic reply: occupies the modeled pipeline for the analytic
+  // service time and schedules `sub.reply` at its finish.
+  void reply_modeled(const ResolvedSub& sub);
 
   // Enqueues `seconds` of work at the local pipeline; returns finish time.
   double enqueue_work(double seconds);
@@ -295,13 +282,11 @@ class NodeRuntime {
   NodeExecutor exec_;
   std::shared_ptr<const MatchEngine> engine_;
   std::unique_ptr<IngestLog> ingest_;
-  bool modeled_timing_ = false;
   std::vector<std::pair<net::Address, SubQueryMsg>> pending_subs_;
   bool drain_scheduled_ = false;
   uint64_t batches_drained_ = 0;
   uint64_t batched_subqueries_ = 0;
   uint64_t subs_shed_ = 0;
-  size_t exec_queue_hwm_ = 0;
   double backlog_hwm_s_ = 0.0;
   core::Tracer* tracer_ = nullptr;
   size_t trace_shard_ = 0;

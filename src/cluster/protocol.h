@@ -62,7 +62,7 @@ struct SubQueryMsg {
   uint32_t pq = 1;
   double share = 0.0;
   // core::QueryClass of the parent query: nodes shed lower-priority
-  // classes first when their execution queues hit their Spang bounds.
+  // classes first when their backlog nears its Spang bound.
   uint8_t klass = 0;
 
   net::Bytes encode() const;

@@ -60,12 +60,6 @@ size_t InvariantChecker::check(const std::string& context) {
 void InvariantChecker::check_queues(const std::string& context) {
   for (NodeId id : cluster_.node_ids()) {
     const NodeRuntime& node = cluster_.node(id);
-    size_t cap = node.exec_queue_cap();
-    if (cap > 0 && node.exec_queue_hwm() > cap) {
-      fail(context, "node " + std::to_string(id) + " exec queue hwm " +
-                        std::to_string(node.exec_queue_hwm()) +
-                        " exceeds cap " + std::to_string(cap));
-    }
     double bound = node.max_backlog_s();
     // The hwm is recorded only at admitted arrivals, so it can never
     // legally exceed the loosest per-class bound (the scavenger share is

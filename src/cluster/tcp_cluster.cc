@@ -27,8 +27,7 @@ ClusterAssembly::Wiring tcp_wiring(const TcpClusterConfig& c) {
 TcpSubstrate::TcpSubstrate(const TcpClusterConfig& config)
     : driver_(config.reactor_shards == 0 ? 1 : config.reactor_shards),
       latency_hint_s_(config.latency_hint_s),
-      node_workers_(config.node_workers),
-      exec_batch_max_(config.exec_batch_max) {
+      node_workers_(config.node_workers) {
   // Control endpoint: control plane + front-ends share one listener, as
   // they share a process in the paper's deployment.
   transports_.push_back(std::make_unique<net::TcpTransport>(driver_));
@@ -46,9 +45,9 @@ net::Transport& TcpSubstrate::node_transport(NodeId id) {
 }
 
 void TcpSubstrate::attach(NodeRuntime& node) {
-  if (node_workers_ == 0) return;
   // One pool per node: a node's lanes model its own cores, so capacity
-  // scales per node exactly as the paper's thread sweeps do.
+  // scales per node exactly as the paper's thread sweeps do. Size 0 runs
+  // the node's scans inline on its shard thread.
   pools_.push_back(std::make_unique<core::WorkerPool>(node_workers_));
   NodeExecutor exec;
   exec.pool = pools_.back().get();
@@ -58,7 +57,6 @@ void TcpSubstrate::attach(NodeRuntime& node) {
   exec.post = [this, shard](std::function<void()> fn) {
     driver_.post_to(shard, std::move(fn));
   };
-  exec.batch_max = exec_batch_max_;
   node.set_executor(std::move(exec));
 }
 

@@ -38,13 +38,13 @@ struct TcpClusterConfig : AssemblyConfig {
   // and mailbox); the control endpoint and the front-ends stay on the
   // caller-driven shard 0, so the harness API remains single-threaded.
   uint32_t reactor_shards = 1;
-  // Worker lanes per node (its core count). 0 = the original inline,
-  // single-pipeline node; N > 0 = an N-wide matching pipeline on a
-  // per-node core::WorkerPool, with sub-queries batched per loop wakeup
-  // and completions posted back to the node's shard thread.
+  // Worker lanes per node (its core count) on a per-node
+  // core::WorkerPool; sub-queries are batched per loop wakeup and
+  // completions posted back to the node's shard thread. 0 = a size-0
+  // pool: real matching scans inline on the shard thread through the same
+  // batched path, and engine-less nodes keep the single analytic
+  // pipeline.
   uint32_t node_workers = 0;
-  // Max sub-queries a node drains into the pool per wakeup.
-  size_t exec_batch_max = 16;
   // Give every node a real pps corpus + query (one shared immutable
   // MatchEngine) instead of the analytic service model. enable_ingest
   // implies it (ingestion mutates the real corpus).
@@ -89,7 +89,6 @@ class TcpSubstrate : public Substrate {
  private:
   double latency_hint_s_;
   uint32_t node_workers_;
-  size_t exec_batch_max_;
 };
 
 // The substrate base comes first, so it is built before every component

@@ -17,7 +17,7 @@
 //     cluster's metrics block is byte-identical across runs of a seed.
 //
 // Naming convention: dot-separated, component-first, lower_snake leaf —
-// "frontend.shed", "node.exec_queue_hwm", "net.bytes_sent",
+// "frontend.shed", "node.backlog_hwm_s", "net.bytes_sent",
 // "ingest.retransmits", "driver.flush_syscalls". Histograms expand to
 // <name>.count/.mean/.p50/.p99/.max in snapshots.
 #pragma once

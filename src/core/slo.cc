@@ -93,7 +93,7 @@ uint64_t AdmissionController::total_shed() const {
 }
 
 ResolvedSlo resolve_slo(const SloSpec& spec, double capacity_qps,
-                        double per_node_subq_rate, uint32_t frontends) {
+                        uint32_t frontends) {
   ResolvedSlo r;
   const ClassContract& tight = spec.contract.of(QueryClass::kInteractive);
   r.target_p99_s = tight.target_p99_s;
@@ -103,11 +103,6 @@ ResolvedSlo resolve_slo(const SloSpec& spec, double capacity_qps,
       spec.frontend_inflight_cap != 0
           ? spec.frontend_inflight_cap
           : spang_queue_bound(capacity_qps / f, tight.target_p99_s, f,
-                              /*min_cap=*/8);
-  r.node_exec_queue_cap =
-      spec.node_exec_queue_cap != 0
-          ? spec.node_exec_queue_cap
-          : spang_queue_bound(per_node_subq_rate, tight.target_p99_s, f,
                               /*min_cap=*/8);
   r.node_max_backlog_s = spec.node_max_backlog_s > 0
                              ? spec.node_max_backlog_s

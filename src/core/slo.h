@@ -151,23 +151,20 @@ struct SloSpec {
   SloContract contract = SloContract::standard();
   AdmissionParams admission;         // class fractions / hysteresis knobs
   size_t frontend_inflight_cap = 0;  // overrides admission.inflight_cap
-  size_t node_exec_queue_cap = 0;    // pooled submit queue; 0 = derive
-  double node_max_backlog_s = 0.0;   // modeled pipeline; 0 = derive
+  double node_max_backlog_s = 0.0;   // analytic pipeline; 0 = derive
 };
 
 // The spec with every derived field resolved against a cluster's
 // geometry. Both harnesses call this (nowhere else derives caps, so the
 // Spang sizing rule cannot drift between them): `capacity_qps` is the
-// cluster's aggregate query capacity at saturation,
-// `per_node_subq_rate` the sub-query arrival rate one node sees there,
-// and `frontends` the count of desynchronized sources.
+// cluster's aggregate query capacity at saturation and `frontends` the
+// count of desynchronized sources.
 struct ResolvedSlo {
   AdmissionParams admission;      // inflight_cap filled
-  size_t node_exec_queue_cap = 0;
   double node_max_backlog_s = 0.0;
   double target_p99_s = 0.0;      // the adaptive-p controller's contract
 };
 ResolvedSlo resolve_slo(const SloSpec& spec, double capacity_qps,
-                        double per_node_subq_rate, uint32_t frontends);
+                        uint32_t frontends);
 
 }  // namespace roar::core

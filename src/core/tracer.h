@@ -48,7 +48,7 @@ enum class TraceStage : uint8_t {
   kPlanned = 3,     // frontend: sweep+partition done (dur = wall cost)
   kDispatch = 4,    // frontend: sub-query sent (part, aux = target node)
   kNodeRecv = 5,    // node: sub-query arrived (actor = node)
-  kNodeShed = 6,    // node: refused at the executor queue bound
+  kNodeShed = 6,    // node: refused at the backlog bound
   kNodeExec = 7,    // node: left the queue, matching starts
   kNodeDone = 8,    // node: reply sent (dur = service_s)
   kReplyRecv = 9,   // frontend: reply arrived (dur = reported service_s)

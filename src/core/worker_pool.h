@@ -5,9 +5,8 @@
 // next worker round-robin, submit_to() on a chosen one; the owner pops
 // from the front and idle workers steal from the back, so every queued
 // task can move to a free lane. A pool of size 0 runs every task inline
-// on the caller's thread — that degenerate mode is what keeps the
-// virtual-time cluster emulation byte-identical when the execution engine
-// is plumbed through it.
+// on the caller's thread — a node's single-core executor, which runs the
+// same batched path as a pooled one.
 //
 // Synchronization is per-worker (one mutex + condvar each) plus a few
 // pool-wide atomics; there is no pool-wide lock on the submit or

@@ -5,12 +5,15 @@
 //    the full-store match count (the §4.2 exact-coverage invariant), so
 //    an inline node and a 4-lane node answer identically even though
 //    their timing differs.
-// 2. At pool size 0 the engine leaves the virtual-time path untouched:
-//    two EmulatedCluster runs with the same seed produce identical
-//    virtual-time traces (per-query delays, message and byte counts,
-//    final clock).
+// 2. A node without an executor replies from the analytic pipeline, even
+//    with a real MatchEngine attached: two EmulatedCluster runs with the
+//    same seed produce identical virtual-time traces (per-query delays,
+//    message and byte counts, final clock), with and without an engine.
+// 3. Inline (size-0 pool) and pooled nodes both execute through the
+//    batched drain path.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "cluster/emulated_cluster.h"
@@ -94,8 +97,17 @@ struct EmulatedTrace {
   double final_now = 0.0;
 };
 
-EmulatedTrace run_emulated() {
-  EmulatedCluster cluster(emulated_config());
+// Live ingestion gives every node a real MatchEngine over a small corpus.
+ClusterConfig emulated_engine_config() {
+  ClusterConfig cfg = emulated_config();
+  cfg.enable_ingest = true;
+  cfg.engine.corpus_items = 2'000;
+  cfg.dataset_size = cfg.engine.corpus_items;
+  return cfg;
+}
+
+EmulatedTrace run_emulated(const ClusterConfig& cfg) {
+  EmulatedCluster cluster(cfg);
   EmulatedTrace trace;
   trace.completed = cluster.run_queries(/*rate_per_s=*/40.0, /*count=*/60);
   trace.delays = cluster.delays().samples();
@@ -106,28 +118,34 @@ EmulatedTrace run_emulated() {
 }
 
 TEST(ExecDeterminism, VirtualTimeTraceIdenticalAtPoolSizeZero) {
-  EmulatedTrace a = run_emulated();
-  EmulatedTrace b = run_emulated();
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.bytes, b.bytes);
-  EXPECT_DOUBLE_EQ(a.final_now, b.final_now);
-  ASSERT_EQ(a.delays.size(), b.delays.size());
-  for (size_t i = 0; i < a.delays.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.delays[i], b.delays[i]) << "query " << i;
+  for (bool engine : {false, true}) {
+    SCOPED_TRACE(engine ? "engine-backed" : "analytic");
+    ClusterConfig cfg = engine ? emulated_engine_config() : emulated_config();
+    EmulatedTrace a = run_emulated(cfg);
+    EmulatedTrace b = run_emulated(cfg);
+    EXPECT_GT(a.completed, 0u);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_DOUBLE_EQ(a.final_now, b.final_now);
+    ASSERT_EQ(a.delays.size(), b.delays.size());
+    for (size_t i = 0; i < a.delays.size(); ++i) {
+      EXPECT_DOUBLE_EQ(a.delays[i], b.delays[i]) << "query " << i;
+    }
   }
 }
 
-// Batching accounting: a pooled node drains its pending sub-queries in
-// wakeups of at most batch_max.
+// Batching accounting: inline and pooled nodes alike drain their pending
+// sub-queries through the batched executor path.
 TEST(ExecDeterminism, PooledNodesBatchSubqueries) {
-  auto cfg = real_matching_config(2);
-  cfg.exec_batch_max = 4;
-  TcpCluster cluster(cfg);
-  auto outcomes = cluster.run_queries(6);
-  for (const auto& out : outcomes) ASSERT_NE(out.id, 0u);
-  EXPECT_GT(cluster.batches_drained(), 0u);
-  EXPECT_GE(cluster.batched_subqueries(), cluster.batches_drained());
+  for (uint32_t workers : {0u, 2u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    TcpCluster cluster(real_matching_config(workers));
+    auto outcomes = cluster.run_queries(6);
+    for (const auto& out : outcomes) ASSERT_NE(out.id, 0u);
+    EXPECT_GT(cluster.batches_drained(), 0u);
+    EXPECT_GE(cluster.batched_subqueries(), cluster.batches_drained());
+  }
 }
 
 }  // namespace
