@@ -100,29 +100,6 @@ uint32_t EmulatedCluster::run_queries(double rate_per_s, uint32_t count,
   return completed;
 }
 
-void EmulatedCluster::inject_updates(double rate_per_s, double duration_s) {
-  double t = loop_.now();
-  double end = t + duration_s;
-  while (t < end) {
-    t += rng_.next_exponential(rate_per_s);
-    RingId id = rng_.next_ring_id();
-    loop_.schedule_at(t, [this, id] {
-      const core::Ring& ring = membership_.ring(0);
-      uint32_t p = control_->storage_p();
-      for (const auto& n : ring.nodes()) {
-        if (!n.alive) continue;
-        if (core::stored_object_arc(ring, n.id, p).contains(id)) {
-          ObjectUpdateMsg msg;
-          msg.object_id = id;
-          msg.payload_bytes = 700;
-          transport().send(kUpdateServerAddr, node_address(n.id),
-                           msg.encode());
-        }
-      }
-    });
-  }
-}
-
 void EmulatedCluster::ingest_stream(double rate_per_s, uint32_t count,
                                     double delete_frac) {
   if (!ingest_router_) {

@@ -94,10 +94,6 @@ class EmulatedCluster : public EmulatedSubstrate, public ClusterAssembly {
   // Returns completed count.
   uint32_t run_queries(double rate_per_s, uint32_t count,
                        double give_up_s = 600.0);
-  // Object updates at Poisson rate for `duration_s` (§7.3.4); each update
-  // goes to every node storing the object's arc. Legacy modeled-cost
-  // stream — real mutation goes through ingest_stream / the router.
-  void inject_updates(double rate_per_s, double duration_s);
 
   // --- live ingestion ------------------------------------------------------
   // Schedules `count` real index mutations at Poisson rate: a mix of

@@ -130,9 +130,6 @@ void NodeRuntime::handle(net::Address from, net::ByteView payload) {
     case MsgType::kViewAck:
       if (auto m = ViewAckMsg::decode(payload)) on_child_ack(*m);
       break;
-    case MsgType::kObjectUpdate:
-      if (auto m = ObjectUpdateMsg::decode(payload)) on_update(*m);
-      break;
     case MsgType::kUpdate:
       if (!ingest_) break;
       if (auto m = UpdateMsg::decode(payload)) ingest_->on_update(*m);
@@ -586,12 +583,6 @@ void NodeRuntime::send_fetch_complete(uint32_t new_p) {
   done.node = params_.id;
   done.new_p = new_p;
   net_.send(address(), kMembershipAddr, done.encode());
-}
-
-void NodeRuntime::on_update(const ObjectUpdateMsg& m) {
-  (void)m;
-  enqueue_work(params_.update_cost_s);
-  ++updates_applied_;
 }
 
 }  // namespace roar::cluster

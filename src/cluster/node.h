@@ -214,7 +214,6 @@ class NodeRuntime {
   void begin_fetch(const core::Ring& ring, uint32_t p_old, uint32_t p_new);
   void send_fetch_complete(uint32_t new_p);
   void stats_tick(uint64_t life);
-  void on_update(const ObjectUpdateMsg& m);
 
   // Wall-clock timing: an executor that scans (an engine) or has lanes to
   // occupy. Otherwise the analytic pipeline answers.

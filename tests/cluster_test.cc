@@ -83,13 +83,6 @@ TEST(ProtocolTest, AllMessagesRoundTrip) {
   auto fc2 = FetchCompleteMsg::decode(fc.encode());
   ASSERT_TRUE(fc2.has_value());
   EXPECT_EQ(fc2->node, 9u);
-
-  ObjectUpdateMsg ou;
-  ou.object_id = RingId::from_double(0.33);
-  ou.payload_bytes = 700;
-  auto ou2 = ObjectUpdateMsg::decode(ou.encode());
-  ASSERT_TRUE(ou2.has_value());
-  EXPECT_EQ(ou2->payload_bytes, 700u);
 }
 
 TEST(ProtocolTest, DecodeRejectsWrongTypeAndGarbage) {
@@ -229,9 +222,13 @@ TEST(ClusterTest, DecreaseWithNoLiveConfirmersCommitsVacuously) {
 }
 
 TEST(ClusterTest, UpdatesConsumeCapacity) {
+  // §7.3.4: every ingest op a replica applies charges update_cost_s of
+  // its matching capacity, so queries queue behind the update stream.
   auto cfg = small_config(4, 8);
+  cfg.enable_ingest = true;
+  cfg.engine.corpus_items = 2'000;
   EmulatedCluster with(cfg), without(cfg);
-  with.inject_updates(400.0, 5.0);
+  with.ingest_stream(400.0, 2'000);
   with.run_queries(10.0, 40);
   without.run_queries(10.0, 40);
   EXPECT_GT(with.delays().mean(), without.delays().mean());
