@@ -75,6 +75,8 @@ class Reader {
   Reader(const uint8_t* p, size_t n) : p_(p), end_(p + n) {}
 
   bool ok() const { return ok_; }
+  // Marks the input malformed on a check above the byte level.
+  void fail() { ok_ = false; }
   size_t remaining() const { return static_cast<size_t>(end_ - p_); }
 
   uint8_t u8() { return take<uint8_t>(); }
