@@ -101,6 +101,7 @@ class NodeRuntime {
   // Attaches real matching (shared, immutable). Without an engine the
   // node uses the analytic service model's counts.
   void set_match_engine(std::shared_ptr<const MatchEngine> engine);
+  bool has_match_engine() const { return engine_ != nullptr; }
   // Live ingestion: gives the node its own IngestLog (a per-replica
   // versioned store over the engine's shared base corpus + the
   // anti-entropy SyncSession). Requires set_match_engine with the same

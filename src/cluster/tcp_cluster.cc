@@ -1,10 +1,22 @@
 #include "cluster/tcp_cluster.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <stdexcept>
 
 namespace roar::cluster {
 
 namespace {
+
+// CPUs this process may run on: its affinity mask, which taskset and
+// container CPU sets narrow, unlike std::thread::hardware_concurrency.
+size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return std::max(1, CPU_COUNT(&set));
+}
 
 // One single-node class per node, so the assembly's capacity formula sums
 // exactly the per-node speeds.
@@ -27,6 +39,7 @@ ClusterAssembly::Wiring tcp_wiring(const TcpClusterConfig& c) {
 TcpSubstrate::TcpSubstrate(const TcpClusterConfig& config)
     : driver_(config.reactor_shards == 0 ? 1 : config.reactor_shards),
       latency_hint_s_(config.latency_hint_s),
+      nodes_(config.nodes),
       node_workers_(config.node_workers) {
   // Control endpoint: control plane + front-ends share one listener, as
   // they share a process in the paper's deployment.
@@ -45,12 +58,25 @@ net::Transport& TcpSubstrate::node_transport(NodeId id) {
 }
 
 void TcpSubstrate::attach(NodeRuntime& node) {
-  // One pool per node: a node's lanes model its own cores, so capacity
-  // scales per node exactly as the paper's thread sweeps do. Size 0 runs
-  // the node's scans inline on its shard thread.
-  pools_.push_back(std::make_unique<core::WorkerPool>(node_workers_));
   NodeExecutor exec;
-  exec.pool = pools_.back().get();
+  if (node.has_match_engine()) {
+    // Real scans compete for the host's cores: every such node shares one
+    // pool with at most one lane per core the reactor threads leave free.
+    if (scan_pool_ == nullptr) {
+      size_t cpus = usable_cpus(), shards = driver_.shards();
+      size_t lanes = std::min<size_t>(size_t{nodes_} * node_workers_,
+                                      cpus > shards ? cpus - shards : 1);
+      pools_.push_back(std::make_unique<core::WorkerPool>(lanes));
+      scan_pool_ = pools_.back().get();
+    }
+    exec.pool = scan_pool_;
+  } else {
+    // Modeled lanes sleep the service time, so a node's lanes are its
+    // own cores and capacity scales per node exactly as the paper's
+    // thread sweeps do. Size 0 leaves the node on the analytic pipeline.
+    pools_.push_back(std::make_unique<core::WorkerPool>(node_workers_));
+    exec.pool = pools_.back().get();
+  }
   // Completions must land on the shard thread that owns this node's
   // transport and state, not on shard 0.
   uint32_t shard = node_shard(node.id());
@@ -91,6 +117,18 @@ uint64_t TcpSubstrate::pool_sum(
   return total;
 }
 
+std::vector<size_t> TcpSubstrate::pool_sizes() const {
+  std::vector<size_t> out;
+  for (const auto& p : pools_) out.push_back(p->size());
+  return out;
+}
+
+uint64_t TcpCluster::pool_threads() const {
+  uint64_t total = 0;
+  for (size_t lanes : pool_sizes()) total += lanes;
+  return total;
+}
+
 TcpCluster::TcpCluster(TcpClusterConfig config)
     : TcpSubstrate(config),
       ClusterAssembly(*this, config, driver_.shards()) {
@@ -100,6 +138,7 @@ TcpCluster::TcpCluster(TcpClusterConfig config)
   const std::pair<const char*, uint64_t (TcpCluster::*)() const> pool[] = {
       {"pool.tasks_executed", &TcpCluster::pool_tasks_executed},
       {"pool.tasks_stolen", &TcpCluster::pool_tasks_stolen},
+      {"pool.threads", &TcpCluster::pool_threads},
   };
   for (const auto& [name, get] : pool) {
     metrics_.gauge_fn(name, [this, get = get] {

@@ -5,12 +5,15 @@
 //
 // This harness is only the substrate: a TcpDriver with N reactor shards
 // (shard 0 driven by the caller, the rest on their own threads), one
-// TcpTransport listener per endpoint, and optionally a WorkerPool per node
-// whose lanes run real pps matching or the modeled Definition-8 service
-// time. ClusterAssembly builds and runs the components exactly as it does
-// in EmulatedCluster, marshaling node reads onto the owning shard. See
-// ARCHITECTURE.md for the assembly/substrate split and the threading
-// contract.
+// TcpTransport listener per endpoint, and the WorkerPools nodes execute
+// sub-queries on. Nodes that scan a real corpus share one pool per
+// process, sized so lanes plus reactor threads do not outnumber the
+// usable cores (one lane at least); nodes without an engine get a pool
+// each, whose lanes sleep the modeled Definition-8 service time and so
+// stand for that node's own cores. ClusterAssembly builds and runs the
+// components exactly as it does in EmulatedCluster, marshaling node
+// reads onto the owning shard. See ARCHITECTURE.md for the
+// assembly/substrate split and the threading contract.
 #pragma once
 
 #include <memory>
@@ -38,12 +41,16 @@ struct TcpClusterConfig : AssemblyConfig {
   // and mailbox); the control endpoint and the front-ends stay on the
   // caller-driven shard 0, so the harness API remains single-threaded.
   uint32_t reactor_shards = 1;
-  // Worker lanes per node (its core count) on a per-node
-  // core::WorkerPool; sub-queries are batched per loop wakeup and
-  // completions posted back to the node's shard thread. 0 = a size-0
-  // pool: real matching scans inline on the shard thread through the same
-  // batched path, and engine-less nodes keep the single analytic
-  // pipeline.
+  // Worker lanes per node (its core count). Sub-queries are batched per
+  // loop wakeup and completions posted back to the node's shard thread.
+  // Engine-less nodes get a core::WorkerPool of this many lanes each:
+  // the lanes sleep the modeled service time, so they are the node's
+  // cores. Real-matching nodes share one process-wide pool of
+  // min(nodes × node_workers, max(1, usable CPUs − reactor_shards))
+  // lanes: their scans burn real CPU, and more busy threads than cores
+  // only add wake-up and preemption delay. 0 = a size-0 pool: real
+  // matching scans inline on the shard thread through the same batched
+  // path, and engine-less nodes keep the single analytic pipeline.
   uint32_t node_workers = 0;
   // Give every node a real pps corpus + query (one shared immutable
   // MatchEngine) instead of the analytic service model. enable_ingest
@@ -66,6 +73,8 @@ class TcpSubstrate : public Substrate {
   uint32_t node_shard(NodeId id) const override {
     return static_cast<uint32_t>(id % driver_.shards());
   }
+  // Lanes of each WorkerPool, in creation order.
+  std::vector<size_t> pool_sizes() const;
 
  private:
   net::Transport& control_transport() override { return *transports_[0]; }
@@ -88,7 +97,11 @@ class TcpSubstrate : public Substrate {
 
  private:
   double latency_hint_s_;
+  uint32_t nodes_;
   uint32_t node_workers_;
+  // The process-wide scan pool (one of pools_), made by the first
+  // engine-backed node.
+  core::WorkerPool* scan_pool_ = nullptr;
 };
 
 // The substrate base comes first, so it is built before every component
@@ -127,6 +140,8 @@ class TcpCluster : public TcpSubstrate, public ClusterAssembly {
   uint64_t pool_tasks_stolen() const {
     return pool_sum(&core::WorkerPool::stolen);
   }
+  // Worker threads over all pools.
+  uint64_t pool_threads() const;
 };
 
 }  // namespace roar::cluster

@@ -53,7 +53,7 @@ class BloomKeywordScheme {
     std::vector<Aes128> ciphers;  // one per trapdoor part
   };
   struct EncryptedMetadata {
-    Nonce rnd;
+    Nonce rnd{};
     std::vector<uint64_t> bits;  // packed filter
     uint32_t word_count = 0;     // diagnostic only (padding hides it on wire)
 

@@ -28,7 +28,7 @@ class DictionaryScheme {
   // Uniform name across keyword backends (see numeric_scheme.h).
   using Trapdoor = EncryptedQuery;
   struct EncryptedMetadata {
-    Nonce rnd;
+    Nonce rnd{};
     std::vector<uint64_t> blinded;  // J: |D| blinded bits
 
     size_t byte_size() const { return blinded.size() * 8 + sizeof(Nonce); }

@@ -22,12 +22,6 @@ ClusterConfig interest_config(uint32_t nodes, uint32_t p,
   return cfg;
 }
 
-uint64_t sum_interests(EmulatedCluster& c) {
-  uint64_t s = 0;
-  for (NodeId id : c.node_ids()) s += c.node(id).interests_sent();
-  return s;
-}
-
 uint32_t live_nodes_at_epoch(EmulatedCluster& c, uint64_t epoch) {
   uint32_t n = 0;
   for (NodeId id : c.node_ids()) {

@@ -4,6 +4,9 @@
 // TcpCluster/loopback sockets must report identical query outcomes —
 // completion, matches, harvest — message for message.
 #include <gtest/gtest.h>
+#include <sched.h>
+
+#include <algorithm>
 
 #include "cluster/emulated_cluster.h"
 #include "cluster/tcp_cluster.h"
@@ -207,6 +210,40 @@ TEST(TcpClusterTest, PReconfigurationOverTheWire) {
   out = cluster.run_query();
   EXPECT_TRUE(out.complete);
   EXPECT_EQ(out.parts_sent, 4u);
+}
+
+// Real scans burn real CPU, so every engine-backed node shares one pool
+// with one lane per core the reactor threads leave free (capped by the
+// nodes' total lanes). Engine-less lanes sleep the modeled service time
+// and stand for each node's own cores: one pool per node.
+TEST(TcpClusterTest, RealScansShareOnePoolModeledLanesArePerNode) {
+  constexpr uint32_t kWorkers = 4, kShards = 2;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  const size_t cpus = static_cast<size_t>(CPU_COUNT(&set));
+  const size_t shared_lanes = std::min<size_t>(
+      kNodes * kWorkers, cpus > kShards ? cpus - kShards : 1);
+
+  TcpClusterConfig real = tcp_config();
+  real.real_matching = true;
+  real.engine.corpus_items = 1'500;
+  real.dataset_size = real.engine.corpus_items;
+  real.node_workers = kWorkers;
+  real.reactor_shards = kShards;
+  TcpCluster scanning(real);
+  EXPECT_EQ(scanning.pool_sizes(), std::vector<size_t>{shared_lanes});
+  EXPECT_EQ(scanning.metrics().snapshot().get("pool.threads", -1),
+            static_cast<double>(shared_lanes));
+  EXPECT_TRUE(scanning.run_query().complete);
+
+  TcpClusterConfig modeled = tcp_config();
+  modeled.node_workers = kWorkers;
+  modeled.reactor_shards = kShards;
+  TcpCluster sleeping(modeled);
+  EXPECT_EQ(sleeping.pool_sizes(), std::vector<size_t>(kNodes, kWorkers));
+  EXPECT_EQ(sleeping.metrics().snapshot().get("pool.threads", -1),
+            static_cast<double>(kNodes * kWorkers));
 }
 
 // Both harnesses register one metrics table; only the TCP substrate adds
