@@ -5,8 +5,9 @@
 // The matching runs on the cluster's actual execution engine
 // (core::WorkerPool): the store is split into batches, every batch is a
 // pool task, and the delay is the wall time from first submit to drain —
-// the same lanes a TcpCluster node uses, so this curve is the capacity
-// model behind the node_workers sweep in bench_tcp_loopback.
+// the same pool TcpCluster's real-matching nodes scan on. The
+// node_workers sweep in bench_tcp_loopback models this curve's linear
+// part: a W-lane analytic pipeline per node, with no threads.
 //
 // Build & run:  ./build/bench/bench_fig5_5_threads [--json out.json]
 //               [--seed n] [--duration ignored]

@@ -5,9 +5,10 @@
 //
 // Two sweeps:
 //  * modeled matching (the seed's Definition-8 service model) across
-//    worker-pool sizes: workers = 0 is the single analytic pipeline per
-//    node; workers = N is an N-lane engine per node, so throughput scales
-//    with the lane count until the front-end/loop thread saturates;
+//    node_workers: each node answers from an analytic pipeline
+//    max(1, workers) FIFO lanes wide, with no thread of its own, so
+//    throughput scales with the lane count until the front-end/loop
+//    thread saturates (workers = 0 and 1 are the same single lane);
 //  * real pps matching (MatchEngine: encrypted corpus + keyword query)
 //    inline (a size-0 pool: the same batched path, scanned on the node's
 //    shard thread) vs pooled, as an honest measured-CPU data point.
@@ -39,7 +40,7 @@ TcpClusterConfig bench_config(uint64_t seed, uint32_t workers,
   cfg.dataset_size = 20'000;
   cfg.seed = seed;
   // Fast matching model so the bench measures the transport + engine, not
-  // the modeled service sleeps: ~1 ms per sub-query. (At the old 1.5 ms
+  // the modeled service time: ~1 ms per sub-query. (At the old 1.5 ms
   // the lane capacity 8 nodes x 8 lanes / 1.5 ms capped the sweep below
   // what the datapath can now carry.)
   cfg.node_proto.base_rate = 1e7;

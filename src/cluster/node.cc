@@ -1,8 +1,6 @@
 #include "cluster/node.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/logging.h"
 #include "core/slo.h"
@@ -16,7 +14,7 @@ NodeRuntime::NodeRuntime(net::Transport& net, NodeParams params,
 void NodeRuntime::start() {
   alive_ = true;
   ++life_;
-  busy_until_ = net_.clock().now();
+  std::fill(lane_free_.begin(), lane_free_.end(), net_.clock().now());
   net_.bind(address(), [this](net::Address from, net::Payload payload) {
     handle(from, payload);
   });
@@ -65,8 +63,10 @@ void NodeRuntime::stats_tick(uint64_t life) {
   if (life != life_ || !alive_) return;
   NodeStatsMsg msg;
   msg.node = params_.id;
-  msg.busy_fraction = std::min(
-      1.0, (busy_seconds_ - stats_busy_mark_) / params_.stats_interval_s);
+  // Busy seconds accrue on every lane, so capacity is W lane-seconds.
+  msg.busy_fraction =
+      std::min(1.0, (busy_seconds_ - stats_busy_mark_) /
+                        (params_.stats_interval_s * lane_free_.size()));
   msg.observed_rate = rate();
   stats_busy_mark_ = busy_seconds_;
   net_.send(address(), kMembershipAddr, msg.encode());
@@ -110,11 +110,10 @@ Arc NodeRuntime::stored_arc() const {
 }
 
 double NodeRuntime::enqueue_work(double seconds) {
-  double now = net_.clock().now();
-  double start = std::max(now, busy_until_);
-  busy_until_ = start + seconds;
+  double& lane = *std::min_element(lane_free_.begin(), lane_free_.end());
+  lane = std::max(net_.clock().now(), lane) + seconds;
   busy_seconds_ += seconds;
-  return busy_until_;
+  return lane;
 }
 
 void NodeRuntime::handle(net::Address from, net::ByteView payload) {
@@ -227,10 +226,13 @@ void NodeRuntime::on_subquery(net::Address from, const SubQueryMsg& m) {
 
   if (params_.max_backlog_s > 0) {
     // The analytic pipeline's reservation is the queue. Refusing here is
-    // what keeps an open-loop overload from growing busy_until_ without
-    // bound — the death-by-timeout spiral the unbounded node fell into.
-    double backlog =
-        std::max(0.0, busy_until_ - net_.clock().now());
+    // what keeps an open-loop overload from growing the lanes' backlog
+    // without bound — the death-by-timeout spiral the unbounded node fell
+    // into. The backlog is the wait a new arrival would see: the earliest
+    // lane's.
+    double backlog = std::max(
+        0.0, *std::min_element(lane_free_.begin(), lane_free_.end()) -
+                 net_.clock().now());
     if (backlog > params_.max_backlog_s * core::class_bound_frac(m.klass)) {
       shed_reply(from, m);
       return;
@@ -238,8 +240,8 @@ void NodeRuntime::on_subquery(net::Address from, const SubQueryMsg& m) {
     backlog_hwm_s_ = std::max(backlog_hwm_s_, backlog);
   }
 
-  // Analytic pipeline: service time accrues on the single modeled
-  // pipeline and the reply is scheduled at its finish time. An engine
+  // Analytic pipeline: service time accrues on the earliest-free modeled
+  // lane and the reply is scheduled at its finish time. An engine
   // supplies real counts; the timing stays analytic, so virtual-time
   // traces never depend on the host's scan speed.
   ResolvedSub sub = resolve(from, m);
@@ -295,56 +297,37 @@ void NodeRuntime::drain_batch() {
   ++batches_drained_;
   batched_subqueries_ += n;
 
-  if (engine_) {
-    // Real matching: split the batch over at most pool-size chunks (one
-    // inline chunk on a size-0 pool); each chunk shares one evaluation
-    // (the amortized store/ordering work).
-    size_t lanes = std::min(std::max<size_t>(1, exec_.pool->size()),
-                            batch.size());
-    std::vector<std::vector<ResolvedSub>> chunks(lanes);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      chunks[i % lanes].push_back(std::move(batch[i]));
-    }
-    for (auto& chunk : chunks) {
-      std::shared_ptr<const MatchEngine> engine = engine_;
-      double overhead = params_.subquery_overhead_s;
-      auto post = exec_.post;
-      exec_.pool->submit([this, engine, overhead, post,
-                          chunk = std::move(chunk)]() mutable {
-        std::vector<MatchEngine::Window> windows;
-        std::vector<std::shared_ptr<const pps::StoreSnapshot>> snaps;
-        windows.reserve(chunk.size());
-        snaps.reserve(chunk.size());
-        for (const auto& s : chunk) {
-          windows.push_back(s.window);
-          snaps.push_back(s.snap);  // null = boot corpus
-        }
-        auto results = engine->execute_batch(windows, snaps);
-        post([this, chunk = std::move(chunk),
-              results = std::move(results), overhead] {
-          if (!alive_) return;  // crashed while the scan ran
-          for (size_t i = 0; i < chunk.size(); ++i) {
-            complete(chunk[i], results[i].scanned, results[i].matches,
-                     results[i].cpu_s + overhead);
-          }
-        });
-      });
-    }
-    return;
+  // Split the batch over at most pool-size chunks (one inline chunk on a
+  // size-0 pool); each chunk shares one evaluation (the amortized
+  // store/ordering work).
+  size_t lanes =
+      std::min(std::max<size_t>(1, exec_.pool->size()), batch.size());
+  std::vector<std::vector<ResolvedSub>> chunks(lanes);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    chunks[i % lanes].push_back(std::move(batch[i]));
   }
-
-  // Modeled matching on real lanes: each worker lane *occupies itself* for
-  // the modeled service time (this is Definition 8's constant-service-time
-  // pipeline, W lanes wide), then posts the completion. Reply content is
-  // identical to the analytic path; only queueing changes.
-  for (auto& sub : batch) {
-    double service = sub.modeled_service_s;
+  for (auto& chunk : chunks) {
+    std::shared_ptr<const MatchEngine> engine = engine_;
+    double overhead = params_.subquery_overhead_s;
     auto post = exec_.post;
-    exec_.pool->submit([this, post, sub = std::move(sub), service] {
-      std::this_thread::sleep_for(std::chrono::duration<double>(service));
-      post([this, sub, service] {
-        if (!alive_) return;
-        complete(sub, sub.reply.scanned, sub.reply.matches, service);
+    exec_.pool->submit([this, engine, overhead, post,
+                        chunk = std::move(chunk)]() mutable {
+      std::vector<MatchEngine::Window> windows;
+      std::vector<std::shared_ptr<const pps::StoreSnapshot>> snaps;
+      windows.reserve(chunk.size());
+      snaps.reserve(chunk.size());
+      for (const auto& s : chunk) {
+        windows.push_back(s.window);
+        snaps.push_back(s.snap);  // null = boot corpus
+      }
+      auto results = engine->execute_batch(windows, snaps);
+      post([this, chunk = std::move(chunk), results = std::move(results),
+            overhead] {
+        if (!alive_) return;  // crashed while the scan ran
+        for (size_t i = 0; i < chunk.size(); ++i) {
+          complete(chunk[i], results[i].scanned, results[i].matches,
+                   results[i].cpu_s + overhead);
+        }
       });
     });
   }

@@ -13,19 +13,20 @@
 // retransmission replaces every bespoke recovery path the old one-shot
 // range-push/fetch-order messages needed.
 //
-// Timing models. A node with an executor (set_executor) runs its
-// sub-queries on wall-clock time: sub-queries arriving in one event-loop
-// round are batched — drained up to kBatchMax per wakeup — and executed
-// on the pool (the real pps match when a MatchEngine is attached,
-// otherwise the modeled service time actually elapsing on a worker lane),
-// with completions posted back to the loop thread, which alone touches
-// the transport and counters. A size-0 pool runs the same path inline on
-// the loop thread. A node without an executor replies from the analytic
-// Definition-8 pipeline on its clock; an engine then supplies the reply's
-// real counts, never its timing — which is what keeps the EmulatedCluster
-// deterministic in virtual time.
+// Timing models. A node with an executor (set_executor) and a MatchEngine
+// scans for real on wall-clock time: sub-queries arriving in one
+// event-loop round are batched — drained up to kBatchMax per wakeup — and
+// matched on the pool, with completions posted back to the loop thread,
+// which alone touches the transport and counters. A size-0 pool runs the
+// same path inline on the loop thread. Every other node replies from the
+// analytic Definition-8 pipeline on its clock: W FIFO lanes (set_lanes;
+// one by default) of constant service time per metadata item, each
+// sub-query starting on the earliest-free lane. An engine there supplies
+// the reply's real counts, never its timing — which is what keeps the
+// EmulatedCluster deterministic in virtual time.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
@@ -56,10 +57,11 @@ struct NodeParams {
   // The adaptive-p controller's node-side signal.
   double stats_interval_s = 0.0;
   // --- overload control (core/slo.h; 0 = unbounded legacy behaviour) ----
-  // Bound, in seconds, on the analytic pipeline's backlog (busy_until_ −
-  // now): arrivals beyond a class's share of it (core::class_bound_frac)
-  // are refused with a shed reply. Nodes with an executor take no such
-  // bound; front-end admission bounds what reaches them.
+  // Bound, in seconds, on the analytic pipeline's backlog (the earliest
+  // lane's free time − now, the wait a new arrival would see): arrivals
+  // beyond a class's share of it (core::class_bound_frac) are refused with
+  // a shed reply. Scanning nodes take no such bound; front-end admission
+  // bounds what reaches them.
   double max_backlog_s = 0.0;
 };
 
@@ -94,10 +96,14 @@ class NodeRuntime {
 
   void set_dataset_size(uint64_t d) { dataset_size_ = d; }
 
-  // Attaches the execution engine (wall-clock timing). A size-0 pool runs
-  // engine scans inline on the loop thread; without an engine it leaves
-  // the node on the analytic pipeline.
+  // Attaches the executor real scans run on (wall-clock timing); a size-0
+  // pool scans inline on the loop thread. Without an engine the node
+  // stays on the analytic pipeline.
   void set_executor(NodeExecutor exec) { exec_ = std::move(exec); }
+  // Width of the analytic pipeline: `w` FIFO lanes (at least one), the
+  // node's matching threads in the paper's §5.7 sweep. Call before
+  // start().
+  void set_lanes(size_t w) { lane_free_.assign(std::max<size_t>(1, w), 0.0); }
   // Attaches real matching (shared, immutable). Without an engine the
   // node uses the analytic service model's counts.
   void set_match_engine(std::shared_ptr<const MatchEngine> engine);
@@ -130,7 +136,6 @@ class NodeRuntime {
   double busy_seconds() const { return busy_seconds_; }
   uint64_t subqueries_served() const { return subqueries_served_; }
   uint64_t updates_applied() const { return updates_applied_; }
-  double busy_until() const { return busy_until_; }
   const Arc& range() const { return range_; }
   // Cross-thread-safe "has a nonempty range" flag for harness readiness
   // checks (range() itself may only be read on the node's shard thread).
@@ -169,7 +174,7 @@ class NodeRuntime {
     net::Address from;
     SubQueryReplyMsg reply;   // query/part ids prefilled
     MatchEngine::Window window;
-    double modeled_service_s = 0.0;  // engine-less lanes sleep this
+    double modeled_service_s = 0.0;  // the analytic pipeline's charge
     // Versioned view pinned at resolve time (loop thread), so every
     // sub-query of one batch matches ONE consistent snapshot no matter
     // how many ingest ops land while lanes scan. Null without ingest.
@@ -216,13 +221,11 @@ class NodeRuntime {
   void send_fetch_complete(uint32_t new_p);
   void stats_tick(uint64_t life);
 
-  // Wall-clock timing: an executor that scans (an engine) or has lanes to
-  // occupy. Otherwise the analytic pipeline answers.
-  bool executes() const {
-    return exec_.pool != nullptr && (engine_ || exec_.pool->size() > 0);
-  }
+  // Wall-clock timing: real scans on an executor. Otherwise the analytic
+  // pipeline answers.
+  bool executes() const { return exec_.pool != nullptr && engine_; }
   // Loop thread: takes up to kBatchMax pending sub-queries and submits
-  // them to the pool (engine batches share one evaluation).
+  // their scans to the pool (each chunk shares one evaluation).
   void drain_batch();
   ResolvedSub resolve(net::Address from, const SubQueryMsg& m) const;
   // Loop thread: accounting + reply for one finished sub-query.
@@ -232,7 +235,8 @@ class NodeRuntime {
   // service time and schedules `sub.reply` at its finish.
   void reply_modeled(const ResolvedSub& sub);
 
-  // Enqueues `seconds` of work at the local pipeline; returns finish time.
+  // Enqueues `seconds` of work on the earliest-free lane of the local
+  // pipeline; returns its finish time.
   double enqueue_work(double seconds);
 
   // Records a node-side span event at an explicit timestamp (reply_modeled
@@ -274,7 +278,9 @@ class NodeRuntime {
   Arc interest_registered_;
   uint64_t interests_sent_ = 0;
   double stats_busy_mark_ = 0.0;
-  double busy_until_ = 0.0;
+  // When each lane of the analytic pipeline next falls idle (one lane
+  // until set_lanes).
+  std::vector<double> lane_free_{0.0};
   double busy_seconds_ = 0.0;
   uint64_t subqueries_served_ = 0;
   uint64_t updates_applied_ = 0;

@@ -58,25 +58,21 @@ net::Transport& TcpSubstrate::node_transport(NodeId id) {
 }
 
 void TcpSubstrate::attach(NodeRuntime& node) {
-  NodeExecutor exec;
-  if (node.has_match_engine()) {
-    // Real scans compete for the host's cores: every such node shares one
-    // pool with at most one lane per core the reactor threads leave free.
-    if (scan_pool_ == nullptr) {
-      size_t cpus = usable_cpus(), shards = driver_.shards();
-      size_t lanes = std::min<size_t>(size_t{nodes_} * node_workers_,
-                                      cpus > shards ? cpus - shards : 1);
-      pools_.push_back(std::make_unique<core::WorkerPool>(lanes));
-      scan_pool_ = pools_.back().get();
-    }
-    exec.pool = scan_pool_;
-  } else {
-    // Modeled lanes sleep the service time, so a node's lanes are its
-    // own cores and capacity scales per node exactly as the paper's
-    // thread sweeps do. Size 0 leaves the node on the analytic pipeline.
-    pools_.push_back(std::make_unique<core::WorkerPool>(node_workers_));
-    exec.pool = pools_.back().get();
+  if (!node.has_match_engine()) {
+    // The node's cores are its analytic lanes; no thread stands for them.
+    node.set_lanes(node_workers_);
+    return;
   }
+  // Real scans compete for the host's cores: every such node shares one
+  // pool with at most one lane per core the reactor threads leave free.
+  if (!scan_pool_) {
+    size_t cpus = usable_cpus(), shards = driver_.shards();
+    size_t lanes = std::min<size_t>(size_t{nodes_} * node_workers_,
+                                    cpus > shards ? cpus - shards : 1);
+    scan_pool_ = std::make_unique<core::WorkerPool>(lanes);
+  }
+  NodeExecutor exec;
+  exec.pool = scan_pool_.get();
   // Completions must land on the shard thread that owns this node's
   // transport and state, not on shard 0.
   uint32_t shard = node_shard(node.id());
@@ -107,26 +103,16 @@ void TcpSubstrate::deliver_first_view(const std::function<bool()>& ready) {
 
 void TcpSubstrate::shutdown() {
   driver_.stop();
-  pools_.clear();
+  scan_pool_.reset();
 }
 
 uint64_t TcpSubstrate::pool_sum(
     uint64_t (core::WorkerPool::*get)() const) const {
-  uint64_t total = 0;
-  for (const auto& p : pools_) total += (*p.*get)();
-  return total;
-}
-
-std::vector<size_t> TcpSubstrate::pool_sizes() const {
-  std::vector<size_t> out;
-  for (const auto& p : pools_) out.push_back(p->size());
-  return out;
+  return scan_pool_ ? (*scan_pool_.*get)() : 0;
 }
 
 uint64_t TcpCluster::pool_threads() const {
-  uint64_t total = 0;
-  for (size_t lanes : pool_sizes()) total += lanes;
-  return total;
+  return scan_pool_ ? scan_pool_->size() : 0;
 }
 
 TcpCluster::TcpCluster(TcpClusterConfig config)

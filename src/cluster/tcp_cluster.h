@@ -5,12 +5,12 @@
 //
 // This harness is only the substrate: a TcpDriver with N reactor shards
 // (shard 0 driven by the caller, the rest on their own threads), one
-// TcpTransport listener per endpoint, and the WorkerPools nodes execute
-// sub-queries on. Nodes that scan a real corpus share one pool per
-// process, sized so lanes plus reactor threads do not outnumber the
-// usable cores (one lane at least); nodes without an engine get a pool
-// each, whose lanes sleep the modeled Definition-8 service time and so
-// stand for that node's own cores. ClusterAssembly builds and runs the
+// TcpTransport listener per endpoint, and the one WorkerPool real scans
+// run on. Nodes that scan a real corpus share that pool, sized so lanes
+// plus reactor threads do not outnumber the usable cores (one lane at
+// least); nodes without an engine own no thread and answer from a
+// node_workers-lane analytic pipeline on their shard's wall clock.
+// ClusterAssembly builds and runs the
 // components exactly as it does in EmulatedCluster, marshaling node
 // reads onto the owning shard. See ARCHITECTURE.md for the
 // assembly/substrate split and the threading contract.
@@ -41,16 +41,16 @@ struct TcpClusterConfig : AssemblyConfig {
   // and mailbox); the control endpoint and the front-ends stay on the
   // caller-driven shard 0, so the harness API remains single-threaded.
   uint32_t reactor_shards = 1;
-  // Worker lanes per node (its core count). Sub-queries are batched per
-  // loop wakeup and completions posted back to the node's shard thread.
-  // Engine-less nodes get a core::WorkerPool of this many lanes each:
-  // the lanes sleep the modeled service time, so they are the node's
-  // cores. Real-matching nodes share one process-wide pool of
-  // min(nodes × node_workers, max(1, usable CPUs − reactor_shards))
-  // lanes: their scans burn real CPU, and more busy threads than cores
-  // only add wake-up and preemption delay. 0 = a size-0 pool: real
-  // matching scans inline on the shard thread through the same batched
-  // path, and engine-less nodes keep the single analytic pipeline.
+  // Matching lanes per node (its core count). Engine-less nodes answer
+  // from an analytic pipeline max(1, node_workers) FIFO lanes wide, as
+  // the paper's §5.7 thread sweep widens its matcher; they run no thread
+  // of their own. Real-matching nodes batch sub-queries per loop wakeup
+  // onto one process-wide pool of min(nodes × node_workers, max(1,
+  // usable CPUs − reactor_shards)) lanes and post completions back to
+  // the node's shard thread: their scans burn real CPU, and more busy
+  // threads than cores only add wake-up and preemption delay. 0 = a
+  // size-0 pool: real matching scans inline on the shard thread through
+  // the same batched path.
   uint32_t node_workers = 0;
   // Give every node a real pps corpus + query (one shared immutable
   // MatchEngine) instead of the analytic service model. enable_ingest
@@ -73,8 +73,6 @@ class TcpSubstrate : public Substrate {
   uint32_t node_shard(NodeId id) const override {
     return static_cast<uint32_t>(id % driver_.shards());
   }
-  // Lanes of each WorkerPool, in creation order.
-  std::vector<size_t> pool_sizes() const;
 
  private:
   net::Transport& control_transport() override { return *transports_[0]; }
@@ -86,22 +84,20 @@ class TcpSubstrate : public Substrate {
 
  protected:
   // Stops every thread that can touch a component: the shard loops first
-  // (joined), then the pools (drained and joined; in-flight tasks point
-  // into nodes). Their posted completions are never run.
+  // (joined), then the scan pool (drained and joined; in-flight tasks
+  // point into nodes). Their posted completions are never run.
   void shutdown();
   uint64_t pool_sum(uint64_t (core::WorkerPool::*get)() const) const;
 
   net::TcpDriver driver_;
   std::vector<std::unique_ptr<net::TcpTransport>> transports_;
-  std::vector<std::unique_ptr<core::WorkerPool>> pools_;
+  // The process-wide scan pool, made by the first engine-backed node.
+  std::unique_ptr<core::WorkerPool> scan_pool_;
 
  private:
   double latency_hint_s_;
   uint32_t nodes_;
   uint32_t node_workers_;
-  // The process-wide scan pool (one of pools_), made by the first
-  // engine-backed node.
-  core::WorkerPool* scan_pool_ = nullptr;
 };
 
 // The substrate base comes first, so it is built before every component
@@ -126,7 +122,7 @@ class TcpCluster : public TcpSubstrate, public ClusterAssembly {
   // Polls sockets + timers until ingest_converged() or timeout; returns
   // the verdict.
   bool run_until_ingest_converged(double timeout_s = 20.0);
-  // Execution-engine diagnostics summed over nodes / pools.
+  // Execution-engine diagnostics summed over nodes / of the scan pool.
   uint64_t batches_drained() const {
     return static_cast<uint64_t>(fold_nodes(&NodeRuntime::batches_drained));
   }
@@ -140,7 +136,7 @@ class TcpCluster : public TcpSubstrate, public ClusterAssembly {
   uint64_t pool_tasks_stolen() const {
     return pool_sum(&core::WorkerPool::stolen);
   }
-  // Worker threads over all pools.
+  // Worker threads of the scan pool (0 without one).
   uint64_t pool_threads() const;
 };
 

@@ -58,8 +58,11 @@ namespace {
 
 // Bounds for the thread-local Bytes freelist: how many vectors one thread
 // retains and the largest capacity worth keeping (a jumbo frame would
-// otherwise pin its high-water capacity forever).
-constexpr size_t kMaxFreeBytesVecs = 64;
+// otherwise pin its high-water capacity forever). The count must cover one
+// poll round's burst: a round that fires many analytic reply timers
+// encodes every reply before its flush recycles any, and at 64 such
+// bursts missed the freelist about once in ten acquires.
+constexpr size_t kMaxFreeBytesVecs = 256;
 constexpr size_t kMaxRecycledCapacity = 256 * 1024;
 
 struct TlFreelist {

@@ -1,42 +1,17 @@
 #include "net/event_loop.h"
 
-#include <stdexcept>
-
 namespace roar::net {
 
 uint64_t EventLoop::schedule_at(double when, Callback fn) {
   if (when < now_) when = now_;
-  uint64_t id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id});
-  callbacks_.emplace(id, std::move(fn));
-  ++live_events_;
-  return id;
-}
-
-void EventLoop::cancel(uint64_t id) {
-  auto it = callbacks_.find(id);
-  if (it != callbacks_.end()) {
-    callbacks_.erase(it);
-    --live_events_;
-  }
+  return timers_.push(when, std::move(fn));
 }
 
 size_t EventLoop::run_until(double deadline) {
   size_t executed = 0;
-  while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    auto it = callbacks_.find(top.id);
-    if (it == callbacks_.end()) {
-      queue_.pop();  // cancelled
-      continue;
-    }
-    if (top.when > deadline) break;
-    now_ = top.when;
-    Callback fn = std::move(it->second);
-    callbacks_.erase(it);
-    --live_events_;
-    queue_.pop();
-    fn();
+  while (auto ev = timers_.pop_due(deadline)) {
+    now_ = ev->when;
+    ev->fn();
     ++executed;
   }
   if (now_ < deadline) now_ = deadline;

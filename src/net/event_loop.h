@@ -10,10 +10,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
-#include <vector>
 
+#include "net/timer_heap.h"
 #include "net/transport.h"
 
 namespace roar::net {
@@ -33,7 +31,7 @@ class EventLoop : public Clock {
   }
 
   // Cancels a scheduled event (no-op if already run or unknown).
-  void cancel(uint64_t id) override;
+  void cancel(uint64_t id) override { timers_.cancel(id); }
 
   // Runs until the queue is empty or `deadline` is passed. Returns the
   // number of events executed.
@@ -42,27 +40,9 @@ class EventLoop : public Clock {
     return run_until(safety_deadline);
   }
 
-  bool empty() const { return live_events_ == 0; }
-  size_t pending() const { return live_events_; }
-
  private:
-  struct Event {
-    double when;
-    uint64_t seq;
-    uint64_t id;
-    bool operator>(const Event& o) const {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
-    }
-  };
-
   double now_ = 0.0;
-  uint64_t next_seq_ = 0;
-  uint64_t next_id_ = 1;
-  size_t live_events_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  // id -> callback; cancelled ids are erased, popped events skip them.
-  std::unordered_map<uint64_t, Callback> callbacks_;
+  TimerHeap timers_;
 };
 
 }  // namespace roar::net

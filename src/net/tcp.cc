@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
+#include <system_error>
 
 namespace roar::net {
 namespace {
@@ -319,20 +320,31 @@ TcpConnection& TcpReactor::connect(uint16_t port) {
   return adopt(fd);
 }
 
-size_t TcpReactor::poll(int timeout_ms, const std::function<bool()>& has_work) {
+size_t TcpReactor::poll(int64_t timeout_us,
+                        const std::function<bool()>& has_work) {
   // Frames queued since the last round (timers, posted completions, user
   // code between polls) must not wait out the epoll timeout.
   flush_dirty();
-  if (timeout_ms > 0) {
+  if (timeout_us > 0) {
     sleeping_.store(true, std::memory_order_seq_cst);
     // Re-check after raising the flag: a producer that pushed before our
     // store saw sleeping_ == false and skipped the eventfd — its work
     // must degrade this wait to a poll.
-    if (has_work && has_work()) timeout_ms = 0;
+    if (has_work && has_work()) timeout_us = 0;
   }
   epoll_event events[64];
-  int n = epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  timespec wait{static_cast<time_t>(timeout_us / 1'000'000),
+                static_cast<long>(timeout_us % 1'000'000 * 1000)};
+  int n = epoll_pwait2(epoll_fd_, events, 64, &wait, nullptr);
   sleeping_.store(false, std::memory_order_relaxed);
+  if (n < 0) {
+    // A signal only cuts the wait short; anything else is a broken
+    // reactor, and no other wait would do better.
+    if (errno != EINTR) {
+      throw std::system_error(errno, std::generic_category(), "epoll_pwait2");
+    }
+    n = 0;
+  }
   size_t handled = 0;
   for (int i = 0; i < n; ++i) {
     void* tag = events[i].data.ptr;
@@ -374,7 +386,7 @@ size_t TcpReactor::poll(int timeout_ms, const std::function<bool()>& has_work) {
 bool TcpReactor::poll_until(const std::function<bool()>& pred, int max_ms) {
   auto start = std::chrono::steady_clock::now();
   while (!pred()) {
-    poll(5);
+    poll(5'000);
     auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                        std::chrono::steady_clock::now() - start)
                        .count();

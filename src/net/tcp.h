@@ -22,7 +22,7 @@
 //
 // Cross-thread wakeup: notify() is the only thread-safe entry point. The
 // eventfd write is elided unless the poller is actually parked inside
-// epoll_wait (the `sleeping_` flag), so the common case — posting work to
+// epoll_pwait2 (the `sleeping_` flag), so the common case — posting work to
 // a busy reactor — costs one atomic load instead of a syscall.
 //
 // §4.8.4 discusses TCP's min-RTO head-of-line blocking for small queries;
@@ -131,14 +131,15 @@ class TcpReactor {
   // reactor). Returns the connection, owned by the reactor.
   TcpConnection& connect(uint16_t port);
 
-  // Processes ready events; returns number handled. timeout_ms = 0 polls.
+  // Processes ready events; returns number handled. Waits at most
+  // `timeout_us` microseconds (epoll_pwait2); timeout_us = 0 polls.
   // Dirty connections are flushed before blocking and again after the
   // event batch, so frames queued between polls or by handlers leave in
   // the same round. `has_work` (optional) is consulted after the sleeping
   // flag is raised and before blocking: when it reports pending
   // cross-thread work the wait degrades to a poll, closing the race
   // against producers that skipped the eventfd.
-  size_t poll(int timeout_ms, const std::function<bool()>& has_work = {});
+  size_t poll(int64_t timeout_us, const std::function<bool()>& has_work = {});
   // Polls until `pred` returns true or `max_ms` elapses. Returns pred().
   bool poll_until(const std::function<bool()>& pred, int max_ms = 5000);
 
@@ -146,7 +147,7 @@ class TcpReactor {
   void flush_dirty();
 
   // Thread-safe: makes a concurrent (or future) poll() return promptly.
-  // Writes the eventfd only when the poller is parked in epoll_wait.
+  // Writes the eventfd only when the poller is parked in epoll_pwait2.
   void notify();
 
   // RX slab arena for this reactor's connections.
@@ -189,7 +190,7 @@ class TcpReactor {
   std::vector<uint64_t> doomed_;  // connections to destroy after poll
   std::vector<uint64_t> dirty_;   // connections with frames to flush
   BufPool buf_pool_;
-  std::atomic<bool> sleeping_{false};  // poller parked in epoll_wait
+  std::atomic<bool> sleeping_{false};  // poller parked in epoll_pwait2
   std::atomic<uint64_t> flush_syscalls_{0};
   std::atomic<uint64_t> frames_flushed_{0};
   std::atomic<uint64_t> wakeups_elided_{0};

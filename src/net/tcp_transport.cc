@@ -10,24 +10,15 @@ namespace roar::net {
 
 // -------------------------------------------------------------- WallClock
 
-uint64_t WallClock::schedule_after(double delay, Callback fn) {
-  uint64_t id = next_id_++;
-  queue_.push(Entry{now() + std::max(0.0, delay), next_seq_++, id});
-  callbacks_.emplace(id, std::move(fn));
-  return id;
-}
-
-void WallClock::cancel(uint64_t id) { callbacks_.erase(id); }
-
-int WallClock::next_timeout_ms(int cap_ms) const {
-  if (callbacks_.empty()) return cap_ms;
-  // The heap top may be a cancelled entry; treating it as live only makes
-  // the poll wake early, never late. Round up: truncating would ask epoll
-  // for a 0 ms wait during the final sub-millisecond before each firing,
-  // degenerating run_until into a busy spin.
-  double dt = queue_.empty() ? 0.0 : queue_.top().when - now();
-  int ms = static_cast<int>(std::ceil(dt * 1000.0));
-  return std::clamp(ms, 0, cap_ms);
+int64_t WallClock::next_timeout_us(int64_t cap_us) {
+  std::optional<double> due = timers_.next_due();
+  if (!due) return cap_us;
+  // Round up: truncating would ask epoll for a 0 µs wait during the final
+  // sub-microsecond before each firing, degenerating run_until into a
+  // busy spin.
+  double us = std::clamp(std::ceil((*due - now()) * 1e6), 0.0,
+                         static_cast<double>(cap_us));
+  return static_cast<int64_t>(us);
 }
 
 size_t WallClock::fire_due() {
@@ -35,14 +26,8 @@ size_t WallClock::fire_due() {
   // `now()` is re-read each iteration so timers scheduled by a firing
   // callback for a past/zero delay run in the same batch (matching
   // EventLoop's run-everything-due semantics).
-  while (!queue_.empty() && queue_.top().when <= now()) {
-    Entry e = queue_.top();
-    queue_.pop();
-    auto it = callbacks_.find(e.id);
-    if (it == callbacks_.end()) continue;  // cancelled
-    Callback fn = std::move(it->second);
-    callbacks_.erase(it);
-    fn();
+  while (auto timer = timers_.pop_due(now())) {
+    timer->fn();
     ++fired;
   }
   return fired;
@@ -154,11 +139,11 @@ void TcpDriver::stop() {
   started_.store(false, std::memory_order_release);
 }
 
-size_t TcpDriver::poll_shard(Shard& sh, int max_wait_ms) {
-  int wait_ms =
-      sh.mail.pending() > 0 ? 0 : sh.clock.next_timeout_ms(max_wait_ms);
+size_t TcpDriver::poll_shard(Shard& sh, int64_t max_wait_us) {
+  int64_t wait_us =
+      sh.mail.pending() > 0 ? 0 : sh.clock.next_timeout_us(max_wait_us);
   size_t handled =
-      sh.reactor.poll(wait_ms, [&sh] { return sh.mail.pending() > 0; });
+      sh.reactor.poll(wait_us, [&sh] { return sh.mail.pending() > 0; });
   handled += sh.clock.fire_due();
   sh.mail.drain(sh.scratch);
   for (auto& fn : sh.scratch) fn();
@@ -171,7 +156,7 @@ size_t TcpDriver::poll_shard(Shard& sh, int max_wait_ms) {
 
 void TcpDriver::shard_loop(Shard& sh) {
   while (!sh.stop.load(std::memory_order_acquire)) {
-    poll_shard(sh, 10);
+    poll_shard(sh, 10'000);
   }
   // Final non-blocking round so closures posted just before the stop flag
   // was raised still run and the frames they queued are flushed.
@@ -179,7 +164,7 @@ void TcpDriver::shard_loop(Shard& sh) {
 }
 
 size_t TcpDriver::poll(int max_wait_ms) {
-  return poll_shard(*shards_[0], max_wait_ms);
+  return poll_shard(*shards_[0], int64_t{max_wait_ms} * 1000);
 }
 
 bool TcpDriver::run_until(const std::function<bool()>& pred,

@@ -25,12 +25,12 @@
 // share a process in the paper's deployment).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -39,15 +39,17 @@
 
 #include "common/metrics.h"
 #include "net/tcp.h"
+#include "net/timer_heap.h"
 #include "net/transport.h"
 
 namespace roar::net {
 
-// Wall-clock Clock. Timers are a lazily-cancelled binary heap, fired by
-// TcpDriver::poll between epoll batches; epoll timeouts are bounded by the
-// earliest pending timer so a due timer is never late by more than the
-// poll granularity. Single-shard-thread use only: cross-thread schedule
-// goes through TcpDriver::post_to.
+// Wall-clock Clock. Timers live in a TimerHeap fired by TcpDriver::poll
+// between epoll batches; the epoll wait is bounded by the earliest pending
+// timer, at microsecond resolution, so a due timer fires within the
+// kernel's wake-up latency rather than on the next millisecond.
+// Single-shard-thread use only: cross-thread schedule goes through
+// TcpDriver::post_to.
 class WallClock : public Clock {
  public:
   WallClock() : t0_(std::chrono::steady_clock::now()) {}
@@ -57,32 +59,21 @@ class WallClock : public Clock {
                                          t0_)
         .count();
   }
-  uint64_t schedule_after(double delay, Callback fn) override;
-  void cancel(uint64_t id) override;
+  uint64_t schedule_after(double delay, Callback fn) override {
+    return timers_.push(now() + std::max(0.0, delay), std::move(fn));
+  }
+  void cancel(uint64_t id) override { timers_.cancel(id); }
 
-  // Milliseconds until the earliest live timer, clamped to [0, cap_ms];
-  // cap_ms when no timer is pending.
-  int next_timeout_ms(int cap_ms) const;
+  // Microseconds until the earliest live timer, rounded up and clamped to
+  // [0, cap_us]; cap_us when no timer is pending.
+  int64_t next_timeout_us(int64_t cap_us);
   // Runs every timer due at the current wall time; returns count fired.
   size_t fire_due();
-  size_t pending() const { return callbacks_.size(); }
+  size_t pending() const { return timers_.size(); }
 
  private:
-  struct Entry {
-    double when;
-    uint64_t seq;
-    uint64_t id;
-    bool operator>(const Entry& o) const {
-      if (when != o.when) return when > o.when;
-      return seq > o.seq;
-    }
-  };
-
   std::chrono::steady_clock::time_point t0_;
-  uint64_t next_id_ = 1;
-  uint64_t next_seq_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::unordered_map<uint64_t, Callback> callbacks_;
+  TimerHeap timers_;
 };
 
 // Cross-thread closure queue into one reactor shard: one mutex-guarded
@@ -183,7 +174,7 @@ class TcpDriver {
     std::vector<std::function<void()>> scratch;
   };
 
-  size_t poll_shard(Shard& sh, int max_wait_ms);
+  size_t poll_shard(Shard& sh, int64_t max_wait_us);
   void shard_loop(Shard& sh);
 
   std::vector<std::unique_ptr<Shard>> shards_;

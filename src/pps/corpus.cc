@@ -15,7 +15,9 @@ CorpusGenerator::CorpusGenerator(CorpusParams params, uint64_t seed)
       zipf_(params.vocabulary_size, params.zipf_exponent) {}
 
 std::string CorpusGenerator::word(uint64_t rank) {
-  return "w" + std::to_string(rank);
+  std::string w = "w";
+  w += std::to_string(rank);
+  return w;
 }
 
 FileInfo CorpusGenerator::sample_document(uint64_t key) {
@@ -38,10 +40,14 @@ FileInfo CorpusGenerator::next_file() {
   while (depth < params_.max_path_depth && rng_.next_double() < 0.55) ++depth;
   std::string path = "home";
   for (uint32_t d = 1; d < depth; ++d) {
-    path += "/" + word(zipf_.next(rng_));
+    path += '/';
+    path += word(zipf_.next(rng_));
   }
-  path += "/file" + std::to_string(next_file_index_++) + "_" +
-          word(zipf_.next(rng_)) + ".txt";
+  path += "/file";
+  path += std::to_string(next_file_index_++);
+  path += '_';
+  path += word(zipf_.next(rng_));
+  path += ".txt";
   f.path = std::move(path);
 
   // Content keywords: distinct Zipf draws, kept in draw order. Earlier

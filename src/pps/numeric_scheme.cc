@@ -38,11 +38,10 @@ std::vector<std::string> inequality_words(
   for (int64_t p : reference_points) {
     // Values equal to a reference point are "not greater, not less": skip,
     // matching the paper's strict comparisons.
-    if (value > p) {
-      words.push_back(">" + std::to_string(p));
-    } else if (value < p) {
-      words.push_back("<" + std::to_string(p));
-    }
+    if (value == p) continue;
+    std::string word = value > p ? ">" : "<";
+    word += std::to_string(p);
+    words.push_back(std::move(word));
   }
   return words;
 }
@@ -60,7 +59,9 @@ std::string inequality_query_word(IneqType type, int64_t value,
     }
   }
   if (chosen != nullptr) *chosen = best;
-  return (type == IneqType::kGreater ? ">" : "<") + std::to_string(best);
+  std::string word = type == IneqType::kGreater ? ">" : "<";
+  word += std::to_string(best);
+  return word;
 }
 
 int64_t DomainPartition::subset_of(int64_t v) const {

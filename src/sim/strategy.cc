@@ -106,7 +106,11 @@ RoarStrategy::RoarStrategy(uint32_t p, RoarOptions options)
 
 std::string RoarStrategy::name() const {
   std::string n = "ROAR";
-  if (options_.rings > 1) n += "-" + std::to_string(options_.rings) + "r";
+  if (options_.rings > 1) {
+    n += '-';
+    n += std::to_string(options_.rings);
+    n += 'r';
+  }
   if (options_.pq_factor > 1.0) n += "+pq";
   if (options_.range_adjustment) n += "+adj";
   if (options_.max_splits > 0) n += "+split";

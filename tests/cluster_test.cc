@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/node.h"
+#include "net/event_loop.h"
+#include "net/inproc.h"
+
 namespace roar::cluster {
 namespace {
 
@@ -94,6 +98,51 @@ TEST(ProtocolTest, DecodeRejectsWrongTypeAndGarbage) {
   EXPECT_FALSE(peek_type(garbage).has_value());
   net::Bytes truncated(bytes.begin(), bytes.begin() + 5);
   EXPECT_FALSE(SubQueryMsg::decode(truncated).has_value());
+}
+
+// The analytic pipeline is W FIFO lanes wide (the paper's §5.7 thread
+// sweep): two sub-queries arriving in the same instant finish together on
+// two lanes, and one service time apart on one lane.
+TEST(NodeRuntimeTest, AnalyticLanesServeSimultaneousSubqueries) {
+  constexpr double kLatency = 100e-6;
+  auto reply_times = [&](size_t lanes, double& service) {
+    net::EventLoop loop;
+    net::InProcNetwork net{loop, kLatency, 1};
+    NodeParams params;
+    params.id = 1;
+    NodeRuntime node(net, params, 1'000'000);
+    node.set_lanes(lanes);
+    node.start();
+    constexpr net::Address kFrontend = 50;
+    std::vector<double> at;
+    net.bind(kFrontend, [&](net::Address, net::Payload payload) {
+      auto reply = SubQueryReplyMsg::decode(payload);
+      if (!reply) return;
+      at.push_back(loop.now());
+      service = reply->service_s;
+    });
+    for (uint32_t part = 0; part < 2; ++part) {
+      SubQueryMsg sq;  // whole ring: the full dataset's service time
+      sq.query_id = 1;
+      sq.part_id = part;
+      net.send(kFrontend, node.address(), sq.encode());
+    }
+    loop.run_all();
+    return at;
+  };
+
+  double s = 0.0;
+  std::vector<double> two = reply_times(2, s);
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_GT(s, 0.0);
+  const double t = kLatency;  // both arrive at the node at t
+  EXPECT_NEAR(two[0], t + s + kLatency, 1e-9);
+  EXPECT_NEAR(two[1], t + s + kLatency, 1e-9);
+
+  std::vector<double> one = reply_times(1, s);
+  ASSERT_EQ(one.size(), 2u);
+  EXPECT_NEAR(one[0], t + s + kLatency, 1e-9);
+  EXPECT_NEAR(one[1], t + 2 * s + kLatency, 1e-9);
 }
 
 TEST(ClusterTest, QueriesCompleteAndCoverDataset) {

@@ -214,9 +214,9 @@ TEST(TcpClusterTest, PReconfigurationOverTheWire) {
 
 // Real scans burn real CPU, so every engine-backed node shares one pool
 // with one lane per core the reactor threads leave free (capped by the
-// nodes' total lanes). Engine-less lanes sleep the modeled service time
-// and stand for each node's own cores: one pool per node.
-TEST(TcpClusterTest, RealScansShareOnePoolModeledLanesArePerNode) {
+// nodes' total lanes). Engine-less nodes answer from their analytic lanes
+// and own no thread at all.
+TEST(TcpClusterTest, RealScansShareOnePoolModeledNodesOwnNoThreads) {
   constexpr uint32_t kWorkers = 4, kShards = 2;
   cpu_set_t set;
   CPU_ZERO(&set);
@@ -232,7 +232,7 @@ TEST(TcpClusterTest, RealScansShareOnePoolModeledLanesArePerNode) {
   real.node_workers = kWorkers;
   real.reactor_shards = kShards;
   TcpCluster scanning(real);
-  EXPECT_EQ(scanning.pool_sizes(), std::vector<size_t>{shared_lanes});
+  EXPECT_EQ(scanning.pool_threads(), shared_lanes);
   EXPECT_EQ(scanning.metrics().snapshot().get("pool.threads", -1),
             static_cast<double>(shared_lanes));
   EXPECT_TRUE(scanning.run_query().complete);
@@ -240,10 +240,12 @@ TEST(TcpClusterTest, RealScansShareOnePoolModeledLanesArePerNode) {
   TcpClusterConfig modeled = tcp_config();
   modeled.node_workers = kWorkers;
   modeled.reactor_shards = kShards;
-  TcpCluster sleeping(modeled);
-  EXPECT_EQ(sleeping.pool_sizes(), std::vector<size_t>(kNodes, kWorkers));
-  EXPECT_EQ(sleeping.metrics().snapshot().get("pool.threads", -1),
-            static_cast<double>(kNodes * kWorkers));
+  TcpCluster analytic(modeled);
+  EXPECT_EQ(analytic.pool_threads(), 0u);
+  EXPECT_EQ(analytic.metrics().snapshot().get("pool.threads", -1), 0.0);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(analytic.run_query().complete) << "query " << i;
+  }
 }
 
 // Both harnesses register one metrics table; only the TCP substrate adds

@@ -32,14 +32,24 @@ TEST(WallClockTest, FutureTimerNotDueYet) {
   clock.schedule_after(30.0, [&] { ran = true; });
   EXPECT_EQ(clock.fire_due(), 0u);
   EXPECT_FALSE(ran);
-  EXPECT_EQ(clock.next_timeout_ms(100), 100);
+  EXPECT_EQ(clock.next_timeout_us(100'000), 100'000);
   EXPECT_EQ(clock.pending(), 1u);
 }
 
 TEST(WallClockTest, DueTimerBoundsPollTimeout) {
   WallClock clock;
   clock.schedule_after(0.0, [] {});
-  EXPECT_EQ(clock.next_timeout_ms(100), 0);
+  EXPECT_EQ(clock.next_timeout_us(100'000), 0);
+}
+
+// The wait has microsecond resolution: a timer 300 µs out must not make
+// the reactor sleep out a whole millisecond.
+TEST(WallClockTest, SubMillisecondTimerBoundsPollTimeout) {
+  WallClock clock;
+  clock.schedule_after(300e-6, [] {});
+  int64_t wait_us = clock.next_timeout_us(100'000);
+  EXPECT_GE(wait_us, 0);
+  EXPECT_LE(wait_us, 300);
 }
 
 TEST(TcpTransportTest, SendByAddressAcrossTransports) {
